@@ -100,6 +100,7 @@ int main() {
   std::printf(
       "Note: the paper's asymptotic H = n^{(1-delta)/10} is ~2 at these n;\n"
       "the harness uses 4H so the flattened-tree effect is visible at\n"
-      "simulation scale (see EXPERIMENTS.md for the discussion).\n");
+      "simulation scale (see docs/ARCHITECTURE.md, \"Deviations from the\n"
+      "paper\").\n");
   return 0;
 }

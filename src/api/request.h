@@ -12,10 +12,17 @@
 // Results carry the existing reports/stats unchanged: the MPC backend
 // fills core::MpcMultiplyReport / round counts, the other backends leave
 // them zero. See api/solver.h for the routing table.
+//
+// Every request struct names its result type (`using Result = ...`), and
+// RequestTypes at the bottom of this file lists every request type once.
+// That list drives Solver::solve/try_solve and SolverService::submit/
+// try_submit and the service's per-type lanes; docs/ARCHITECTURE.md
+// ("Adding a request type") names the remaining per-type sites.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,8 +32,28 @@
 
 namespace monge {
 
+/// 128-bit digest of a request payload — the dedup/cache key. Collisions
+/// between distinct payloads are treated as impossible (2^-64 birthday
+/// regime at any plausible cache size); equal payloads always digest
+/// equally, so a hit is a semantic hit.
+struct RequestDigest {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  friend bool operator==(const RequestDigest&, const RequestDigest&) = default;
+};
+
+struct MultiplyResult;
+struct LisResult;
+struct LcsResult;
+struct BuildIndexResult;
+struct WindowLisResult;
+struct SubstringLcsResult;
+
 /// One product PC = PA ⊡ PB.
 struct MultiplyRequest {
+  using Result = MultiplyResult;
+
   enum class Kind {
     kFull = 0,     ///< full n×n permutations (Theorem 1.1)
     kSubunit = 1,  ///< sub-permutations, shapes rA×n2 · n2×cB (Theorem 1.2)
@@ -47,6 +74,8 @@ struct MultiplyResult {
 /// LIS of a sequence (duplicates allowed; strict LIS), optionally with the
 /// semi-local kernel and an offline batch of window queries.
 struct LisRequest {
+  using Result = LisResult;
+
   std::vector<std::int64_t> seq;  ///< the input sequence.
   /// Build and return the semi-local kernel (Corollary 1.3.2). Without it
   /// a length-only request routes to the cheapest length algorithm of the
@@ -70,6 +99,8 @@ struct LisResult {
 
 /// LCS of two sequences via the Hunt–Szymanski reduction to strict LIS.
 struct LcsRequest {
+  using Result = LcsResult;
+
   std::vector<std::int64_t> s;
   std::vector<std::int64_t> t;
 };
@@ -107,6 +138,8 @@ struct QueryHandle {
 /// produce bit-identical kernels, so the served answers never depend on
 /// the backend).
 struct BuildIndexRequest {
+  using Result = BuildIndexResult;
+
   enum class Kind {
     kWindowLis = 0,     ///< index seq for LIS(seq[l..r]) queries.
     kSubstringLcs = 1,  ///< index (s=seq, t) for LCS(seq[i..j], t) queries.
@@ -131,6 +164,8 @@ struct BuildIndexResult {
 
 /// A batch of window-LIS queries against a kWindowLis index.
 struct WindowLisQuery {
+  using Result = WindowLisResult;
+
   QueryHandle handle;
   /// Inclusive [l, r] windows; l > r is a legitimate empty window
   /// (answers 0).
@@ -144,6 +179,8 @@ struct WindowLisResult {
 
 /// A batch of substring-LCS queries against a kSubstringLcs index.
 struct SubstringLcsQuery {
+  using Result = SubstringLcsResult;
+
   QueryHandle handle;
   /// Inclusive [i, j] substrings of s; i > j is a legitimate empty
   /// substring (answers 0).
@@ -155,5 +192,44 @@ struct SubstringLcsResult {
   /// order.
   std::vector<std::int64_t> lcs;
 };
+
+/// A compile-time list of request types.
+template <typename... Rs>
+struct RequestList {};
+
+/// Every request type the Solver and SolverService accept, each once.
+using RequestTypes = RequestList<MultiplyRequest, LisRequest, LcsRequest,
+                                 BuildIndexRequest, WindowLisQuery,
+                                 SubstringLcsQuery>;
+
+namespace detail {
+template <typename R, typename... Rs>
+constexpr bool listed_in(RequestList<Rs...> /*list*/) {
+  return (std::is_same_v<R, Rs> || ...);
+}
+}  // namespace detail
+
+/// A type listed in RequestTypes — what solve/try_solve and submit/
+/// try_submit accept.
+template <typename R>
+concept SolverRequest = detail::listed_in<R>(RequestTypes{});
+
+/// Digest of a multiply request: kind, shapes and both row->col arrays,
+/// length-prefixed so concatenation ambiguities cannot collide.
+RequestDigest request_digest(const MultiplyRequest& req);
+/// Digest of a LIS request: sequence, want_kernel flag and windows.
+RequestDigest request_digest(const LisRequest& req);
+/// Digest of an LCS request: both sequences, length-prefixed.
+RequestDigest request_digest(const LcsRequest& req);
+/// Digest of an index build: kind plus both sequences. Identical builds
+/// digest equally, so the service dedups/caches them onto ONE shared
+/// index — the handle lifecycle the query tier documents.
+RequestDigest request_digest(const BuildIndexRequest& req);
+/// Digest of a window-LIS query batch: the index's process-unique id()
+/// (never reused, so a cached answer can never alias a different index)
+/// plus the windows.
+RequestDigest request_digest(const WindowLisQuery& req);
+/// Digest of a substring-LCS query batch: index id() plus the substrings.
+RequestDigest request_digest(const SubstringLcsQuery& req);
 
 }  // namespace monge

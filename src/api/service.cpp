@@ -1,125 +1,9 @@
 #include "api/service.h"
 
-#include <string>
-
 #include "util/check.h"
 #include "util/error.h"
 
 namespace monge {
-
-// ---------------------------------------------------------------------------
-// Request digests.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Two independent 64-bit accumulation streams (FNV-1a-style fold followed
-/// by the splitmix64 finalizer, with distinct offsets and combining rules)
-/// over the request's words. Every variable-length field is preceded by
-/// its length and every request by a type tag, so no two distinct payloads
-/// serialize to the same word stream.
-struct DigestBuilder {
-  std::uint64_t lo = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  std::uint64_t hi = 0x6a09e667f3bcc909ULL;  // frac(sqrt(2))
-
-  static std::uint64_t mix(std::uint64_t z) {  // splitmix64 finalizer
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  void word(std::uint64_t w) {
-    lo = mix((lo ^ w) * 0x100000001b3ULL);  // FNV-1a prime
-    hi = mix((hi + w) * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
-  }
-
-  void words32(std::span<const std::int32_t> v) {
-    word(static_cast<std::uint64_t>(v.size()));
-    for (const std::int32_t x : v) {
-      word(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
-    }
-  }
-
-  void words64(std::span<const std::int64_t> v) {
-    word(static_cast<std::uint64_t>(v.size()));
-    for (const std::int64_t x : v) word(static_cast<std::uint64_t>(x));
-  }
-
-  RequestDigest digest() const { return {lo, hi}; }
-};
-
-}  // namespace
-
-RequestDigest request_digest(const MultiplyRequest& req) {
-  DigestBuilder b;
-  b.word('M');
-  b.word(static_cast<std::uint64_t>(req.kind));
-  b.word(static_cast<std::uint64_t>(req.a.cols()));
-  b.words32(req.a.row_to_col());
-  b.word(static_cast<std::uint64_t>(req.b.cols()));
-  b.words32(req.b.row_to_col());
-  return b.digest();
-}
-
-RequestDigest request_digest(const LisRequest& req) {
-  DigestBuilder b;
-  b.word('L');
-  b.words64(req.seq);
-  b.word(req.want_kernel ? 1 : 0);
-  b.word(static_cast<std::uint64_t>(req.windows.size()));
-  for (const auto& [l, r] : req.windows) {
-    b.word(static_cast<std::uint64_t>(l));
-    b.word(static_cast<std::uint64_t>(r));
-  }
-  return b.digest();
-}
-
-RequestDigest request_digest(const LcsRequest& req) {
-  DigestBuilder b;
-  b.word('C');
-  b.words64(req.s);
-  b.words64(req.t);
-  return b.digest();
-}
-
-RequestDigest request_digest(const BuildIndexRequest& req) {
-  DigestBuilder b;
-  b.word('B');
-  b.word(static_cast<std::uint64_t>(req.kind));
-  b.words64(req.seq);
-  b.words64(req.t);
-  return b.digest();
-}
-
-RequestDigest request_digest(const WindowLisQuery& req) {
-  DigestBuilder b;
-  b.word('W');
-  // The index id is process-unique and never reused, so the digest can
-  // stand in for the whole indexed payload.
-  b.word(req.handle.id());
-  b.word(static_cast<std::uint64_t>(req.windows.size()));
-  for (const auto& [l, r] : req.windows) {
-    b.word(static_cast<std::uint64_t>(l));
-    b.word(static_cast<std::uint64_t>(r));
-  }
-  return b.digest();
-}
-
-RequestDigest request_digest(const SubstringLcsQuery& req) {
-  DigestBuilder b;
-  b.word('S');
-  b.word(req.handle.id());
-  b.word(static_cast<std::uint64_t>(req.substrings.size()));
-  for (const auto& [i, j] : req.substrings) {
-    b.word(static_cast<std::uint64_t>(i));
-    b.word(static_cast<std::uint64_t>(j));
-  }
-  return b.digest();
-}
-
-// ---------------------------------------------------------------------------
-// Lifecycle.
-// ---------------------------------------------------------------------------
 
 SolverService::SolverService(ServiceOptions options)
     : options_(std::move(options)) {
@@ -170,280 +54,6 @@ void SolverService::worker_loop() {
     }
     job(solver);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cache + lanes.
-// ---------------------------------------------------------------------------
-
-template <>
-SolverService::Lane<MultiplyRequest, MultiplyResult>&
-SolverService::lane<MultiplyRequest, MultiplyResult>() {
-  return multiply_lane_;
-}
-template <>
-SolverService::Lane<LisRequest, LisResult>&
-SolverService::lane<LisRequest, LisResult>() {
-  return lis_lane_;
-}
-template <>
-SolverService::Lane<LcsRequest, LcsResult>&
-SolverService::lane<LcsRequest, LcsResult>() {
-  return lcs_lane_;
-}
-template <>
-SolverService::Lane<BuildIndexRequest, BuildIndexResult>&
-SolverService::lane<BuildIndexRequest, BuildIndexResult>() {
-  return build_index_lane_;
-}
-template <>
-SolverService::Lane<WindowLisQuery, WindowLisResult>&
-SolverService::lane<WindowLisQuery, WindowLisResult>() {
-  return window_lis_lane_;
-}
-template <>
-SolverService::Lane<SubstringLcsQuery, SubstringLcsResult>&
-SolverService::lane<SubstringLcsQuery, SubstringLcsResult>() {
-  return substring_lcs_lane_;
-}
-
-template <typename Request, typename Result>
-const Result* SolverService::cache_find_locked(RequestDigest key) {
-  auto& ln = lane<Request, Result>();
-  const auto it = ln.cache.find(key);
-  if (it == ln.cache.end()) return nullptr;
-  ln.lru.splice(ln.lru.begin(), ln.lru, it->second);  // refresh recency
-  return &it->second->second;
-}
-
-template <typename Request, typename Result>
-void SolverService::cache_insert_locked(RequestDigest key,
-                                        const Result& value) {
-  if (options_.cache_capacity == 0) return;
-  auto& ln = lane<Request, Result>();
-  if (const auto it = ln.cache.find(key); it != ln.cache.end()) {
-    it->second->second = value;
-    ln.lru.splice(ln.lru.begin(), ln.lru, it->second);
-    return;
-  }
-  ln.lru.emplace_front(key, value);
-  ln.cache[key] = ln.lru.begin();
-  if (ln.cache.size() > options_.cache_capacity) {
-    ln.cache.erase(ln.lru.back().first);
-    ln.lru.pop_back();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Jobs.
-// ---------------------------------------------------------------------------
-
-template <bool IsTry, typename Request, typename Result>
-void SolverService::run_job(Solver& solver, const Request& req,
-                            RequestDigest key, RequestDigest flight_key) {
-  if (options_.solve_hook) options_.solve_hook();
-  if constexpr (!IsTry) {
-    Result value{};
-    std::exception_ptr error;
-    try {
-      value = solver.solve(req);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::vector<std::promise<Result>> waiters;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.solves;
-      if (error) ++stats_.solve_errors;
-      auto& ln = lane<Request, Result>();
-      const auto it = ln.in_flight.find(flight_key);
-      waiters = std::move(it->second->solve_waiters);
-      ln.in_flight.erase(it);
-      // Errors are never cached: faults and space overruns depend on
-      // mutable cluster state, so a retry can legitimately succeed.
-      if (!error) cache_insert_locked<Request, Result>(key, value);
-    }
-    for (auto& p : waiters) {
-      if (error) {
-        p.set_exception(error);
-      } else {
-        p.set_value(value);
-      }
-    }
-  } else {
-    const TrySolveResult<Result> res = solver.try_solve(req);
-    std::vector<std::promise<TrySolveResult<Result>>> waiters;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.solves;
-      if (!res.report.ok()) ++stats_.solve_errors;
-      auto& ln = lane<Request, Result>();
-      const auto it = ln.in_flight.find(flight_key);
-      waiters = std::move(it->second->try_waiters);
-      ln.in_flight.erase(it);
-      // Degraded values are correct but shaped like the fallback backend
-      // (zero rounds/reports), so they must not satisfy future requests
-      // that expect a healthy MpcSim answer.
-      if (res.report.ok() && !res.report.degraded) {
-        cache_insert_locked<Request, Result>(key, res.value);
-      }
-    }
-    for (auto& p : waiters) p.set_value(res);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Admission.
-// ---------------------------------------------------------------------------
-
-template <bool IsTry, typename Request, typename Result>
-std::conditional_t<IsTry, Submission<Result>, std::future<Result>>
-SolverService::submit_impl(Request req) {
-  using Ret = std::conditional_t<IsTry, Submission<Result>, std::future<Result>>;
-
-  const RequestDigest key = request_digest(req);
-  // The submit and try_submit flavors fail differently (throwing future vs
-  // degrading report), so they never coalesce with each other: the
-  // in-flight table is keyed with the flavor mixed in. The result cache
-  // uses the pure digest — values are shared.
-  RequestDigest flight_key = key;
-  if constexpr (IsTry) flight_key.hi ^= 0x7472795f666c7476ULL;
-
-  const auto reject = [&](const std::string& why) -> Ret {
-    ++stats_.rejected;
-    if constexpr (IsTry) {
-      Submission<Result> sub;
-      sub.admission.status = SolveStatus::kOverloaded;
-      sub.admission.backend = options_.solver.backend;
-      sub.admission.message = why;
-      return sub;
-    } else {
-      throw OverloadedError(why);
-    }
-  };
-
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  for (;;) {
-    if (shutdown_) return reject("SolverService is shutting down");
-
-    // 1) Completed identical request in the result cache.
-    if (const Result* hit = cache_find_locked<Request, Result>(key)) {
-      ++stats_.cache_hits;
-      if constexpr (IsTry) {
-        TrySolveResult<Result> res;
-        res.value = *hit;
-        res.report.backend = options_.solver.backend;
-        res.report.cached = true;
-        std::promise<TrySolveResult<Result>> p;
-        p.set_value(std::move(res));
-        Submission<Result> sub;
-        sub.future = p.get_future();
-        sub.admission.backend = options_.solver.backend;
-        return sub;
-      } else {
-        std::promise<Result> p;
-        p.set_value(*hit);
-        return p.get_future();
-      }
-    }
-
-    // 2) Identical request already in flight: attach, consume no slot.
-    auto& ln = lane<Request, Result>();
-    if (const auto it = ln.in_flight.find(flight_key);
-        it != ln.in_flight.end()) {
-      ++stats_.coalesced;
-      if constexpr (IsTry) {
-        std::promise<TrySolveResult<Result>> p;
-        Submission<Result> sub;
-        sub.future = p.get_future();
-        sub.admission.backend = options_.solver.backend;
-        it->second->try_waiters.push_back(std::move(p));
-        return sub;
-      } else {
-        std::promise<Result> p;
-        auto fut = p.get_future();
-        it->second->solve_waiters.push_back(std::move(p));
-        return fut;
-      }
-    }
-
-    // 3) Admission control on the bounded queue.
-    if (queue_.size() < options_.queue_depth) break;
-    if (options_.admission == AdmissionPolicy::kReject) {
-      return reject("queue full (depth " +
-                    std::to_string(options_.queue_depth) + ")");
-    }
-    // Block until a worker frees a slot, then re-run the whole ladder:
-    // while we slept the request may have become in-flight or cached.
-    space_cv_.wait(lock);
-  }
-
-  // 4) Admit: one flight, one queued job.
-  auto flight = std::make_shared<Flight<Result>>();
-  Ret ret;
-  if constexpr (IsTry) {
-    std::promise<TrySolveResult<Result>> p;
-    ret.future = p.get_future();
-    ret.admission.backend = options_.solver.backend;
-    flight->try_waiters.push_back(std::move(p));
-  } else {
-    std::promise<Result> p;
-    ret = p.get_future();
-    flight->solve_waiters.push_back(std::move(p));
-  }
-  lane<Request, Result>().in_flight.emplace(flight_key, std::move(flight));
-  ++stats_.admitted;
-  queue_.push_back(
-      [this, req = std::move(req), key, flight_key](Solver& solver) {
-        run_job<IsTry, Request, Result>(solver, req, key, flight_key);
-      });
-  lock.unlock();
-  queue_cv_.notify_one();
-  return ret;
-}
-
-std::future<MultiplyResult> SolverService::submit(MultiplyRequest req) {
-  return submit_impl<false, MultiplyRequest, MultiplyResult>(std::move(req));
-}
-std::future<LisResult> SolverService::submit(LisRequest req) {
-  return submit_impl<false, LisRequest, LisResult>(std::move(req));
-}
-std::future<LcsResult> SolverService::submit(LcsRequest req) {
-  return submit_impl<false, LcsRequest, LcsResult>(std::move(req));
-}
-std::future<BuildIndexResult> SolverService::submit(BuildIndexRequest req) {
-  return submit_impl<false, BuildIndexRequest, BuildIndexResult>(
-      std::move(req));
-}
-std::future<WindowLisResult> SolverService::submit(WindowLisQuery req) {
-  return submit_impl<false, WindowLisQuery, WindowLisResult>(std::move(req));
-}
-std::future<SubstringLcsResult> SolverService::submit(SubstringLcsQuery req) {
-  return submit_impl<false, SubstringLcsQuery, SubstringLcsResult>(
-      std::move(req));
-}
-
-Submission<MultiplyResult> SolverService::try_submit(MultiplyRequest req) {
-  return submit_impl<true, MultiplyRequest, MultiplyResult>(std::move(req));
-}
-Submission<LisResult> SolverService::try_submit(LisRequest req) {
-  return submit_impl<true, LisRequest, LisResult>(std::move(req));
-}
-Submission<LcsResult> SolverService::try_submit(LcsRequest req) {
-  return submit_impl<true, LcsRequest, LcsResult>(std::move(req));
-}
-Submission<BuildIndexResult> SolverService::try_submit(BuildIndexRequest req) {
-  return submit_impl<true, BuildIndexRequest, BuildIndexResult>(
-      std::move(req));
-}
-Submission<WindowLisResult> SolverService::try_submit(WindowLisQuery req) {
-  return submit_impl<true, WindowLisQuery, WindowLisResult>(std::move(req));
-}
-Submission<SubstringLcsResult> SolverService::try_submit(
-    SubstringLcsQuery req) {
-  return submit_impl<true, SubstringLcsQuery, SubstringLcsResult>(
-      std::move(req));
 }
 
 ServiceStats SolverService::stats() const {

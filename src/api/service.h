@@ -15,7 +15,7 @@
 //     cache-served requests never consume a queue slot.
 //
 //   * request deduplication — every request is keyed by a 128-bit digest
-//     of its payload (request_digest below). Concurrent identical requests
+//     of its payload (request_digest, api/request.h). Concurrent identical requests
 //     coalesce onto ONE underlying solve: the first submit enqueues a job,
 //     later identical submits just attach a waiter to the in-flight entry
 //     and are fulfilled from the same computation. Identical permutations
@@ -41,6 +41,12 @@
 // degrade), they coalesce only with in-flight requests of the SAME flavor;
 // both share the result cache.
 //
+// Request types: submit() and try_submit() are templates over the types
+// listed in RequestTypes (api/request.h), and the service keeps one lane
+// (in-flight table plus LRU cache) per listed type. Adding a request type
+// touches neither this file nor service.cpp; see docs/ARCHITECTURE.md
+// ("Adding a request type").
+//
 // Lifecycle: the destructor stops admitting, wakes blocked submitters
 // (they observe the shutdown and refuse), DRAINS every already-admitted
 // job, and joins the workers — an admitted future is always fulfilled
@@ -55,49 +61,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "api/solver.h"
+#include "util/error.h"
 #include "util/thread_pool.h"
 
 namespace monge {
-
-/// 128-bit digest of a request payload — the dedup/cache key. Collisions
-/// between distinct payloads are treated as impossible (2^-64 birthday
-/// regime at any plausible cache size); equal payloads always digest
-/// equally, so a hit is a semantic hit.
-struct RequestDigest {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-
-  friend bool operator==(const RequestDigest&, const RequestDigest&) = default;
-};
-
-/// Digest of a multiply request: kind, shapes and both row->col arrays,
-/// length-prefixed so concatenation ambiguities cannot collide.
-RequestDigest request_digest(const MultiplyRequest& req);
-/// Digest of a LIS request: sequence, want_kernel flag and windows.
-RequestDigest request_digest(const LisRequest& req);
-/// Digest of an LCS request: both sequences, length-prefixed.
-RequestDigest request_digest(const LcsRequest& req);
-/// Digest of an index build: kind plus both sequences. Identical builds
-/// digest equally, so the service dedups/caches them onto ONE shared
-/// index — the handle lifecycle the query tier documents.
-RequestDigest request_digest(const BuildIndexRequest& req);
-/// Digest of a window-LIS query batch: the index's process-unique id()
-/// (never reused, so a cached answer can never alias a different index)
-/// plus the windows.
-RequestDigest request_digest(const WindowLisQuery& req);
-/// Digest of a substring-LCS query batch: index id() plus the substrings.
-RequestDigest request_digest(const SubstringLcsQuery& req);
 
 /// What submit() does when the bounded queue is at queue_depth.
 enum class AdmissionPolicy {
@@ -122,9 +103,9 @@ struct ServiceOptions {
   std::size_t queue_depth = 256;
   /// Full-queue behavior of submit()/try_submit().
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Result-cache capacity in entries PER request type (multiply/LIS/LCS
-  /// results are cached in separate LRU maps). 0 disables caching;
-  /// in-flight dedup still applies.
+  /// Result-cache capacity in entries PER request type (each type listed
+  /// in RequestTypes has its own LRU map). 0 disables caching; in-flight
+  /// dedup still applies.
   std::size_t cache_capacity = 1024;
   /// Test/telemetry seam: when set, every worker calls this immediately
   /// before each underlying solve (on the worker thread). Must not throw.
@@ -187,17 +168,10 @@ class SolverService {
   /// result cache or an in-flight identical computation when possible;
   /// otherwise admitted under the configured policy — throws
   /// OverloadedError when refused (kReject and full, or shutting down).
-  std::future<MultiplyResult> submit(MultiplyRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<LisResult> submit(LisRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<LcsResult> submit(LcsRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<BuildIndexResult> submit(BuildIndexRequest req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<WindowLisResult> submit(WindowLisQuery req);
-  /// @copydoc submit(MultiplyRequest)
-  std::future<SubstringLcsResult> submit(SubstringLcsQuery req);
+  template <SolverRequest R>
+  std::future<typename R::Result> submit(R req) {
+    return submit_impl<false>(std::move(req));
+  }
 
   /// Asynchronous Solver::try_solve(): never throws for taxonomy errors.
   /// Admission refusals come back synchronously in Submission::admission
@@ -205,17 +179,10 @@ class SolverService {
   /// TrySolveResult — including MpcSim degradation, exactly as
   /// Solver::try_solve reports it. Cache hits resolve immediately with
   /// report.cached = true.
-  Submission<MultiplyResult> try_submit(MultiplyRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<LisResult> try_submit(LisRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<LcsResult> try_submit(LcsRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<BuildIndexResult> try_submit(BuildIndexRequest req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<WindowLisResult> try_submit(WindowLisQuery req);
-  /// @copydoc try_submit(MultiplyRequest)
-  Submission<SubstringLcsResult> try_submit(SubstringLcsQuery req);
+  template <SolverRequest R>
+  Submission<typename R::Result> try_submit(R req) {
+    return submit_impl<true>(std::move(req));
+  }
 
   /// A consistent snapshot of the service counters.
   ServiceStats stats() const;
@@ -245,36 +212,56 @@ class SolverService {
   /// submit/try flavor mixed in — the flavors have different failure
   /// semantics, so they never coalesce with each other) and the LRU result
   /// cache (keyed by the pure digest — both flavors share values).
-  template <typename Request, typename Result>
+  template <typename R>
   struct Lane {
-    using FlightPtr = std::shared_ptr<Flight<Result>>;
-    std::unordered_map<RequestDigest, FlightPtr, DigestHash> in_flight;
-    std::list<std::pair<RequestDigest, Result>> lru;  // front = most recent
-    std::unordered_map<
-        RequestDigest,
-        typename std::list<std::pair<RequestDigest, Result>>::iterator,
-        DigestHash>
+    using Result = typename R::Result;
+    using Entry = std::pair<RequestDigest, Result>;
+    std::unordered_map<RequestDigest, std::shared_ptr<Flight<Result>>,
+                       DigestHash>
+        in_flight;
+    std::list<Entry> lru;  // front = most recent
+    std::unordered_map<RequestDigest, typename std::list<Entry>::iterator,
+                       DigestHash>
         cache;
   };
 
-  template <typename Request, typename Result>
-  Lane<Request, Result>& lane();
+  /// One Lane per listed request type.
+  template <typename List>
+  struct LanesOf;
+  template <typename... Rs>
+  struct LanesOf<RequestList<Rs...>> {
+    using type = std::tuple<Lane<Rs>...>;
+  };
 
-  /// Shared submit machinery; IsTry selects the flavor. Defined in
-  /// service.cpp (only instantiated there).
-  template <bool IsTry, typename Request, typename Result>
-  std::conditional_t<IsTry, Submission<Result>, std::future<Result>>
-  submit_impl(Request req);
+  template <typename R>
+  Lane<R>& lane() {
+    return std::get<Lane<R>>(lanes_);
+  }
+
+  /// What submit (IsTry = false) or try_submit (IsTry = true) returns.
+  template <bool IsTry, typename R>
+  using SubmitReturn =
+      std::conditional_t<IsTry, Submission<typename R::Result>,
+                         std::future<typename R::Result>>;
+
+  /// Shared submit machinery; IsTry selects the flavor.
+  template <bool IsTry, typename R>
+  SubmitReturn<IsTry, R> submit_impl(R req);
+
+  /// Adds one waiter of the IsTry flavor to `flight` and returns its
+  /// future (wrapped in an admitted Submission for try_submit).
+  template <bool IsTry, typename R>
+  SubmitReturn<IsTry, R> attach_waiter(Flight<typename R::Result>& flight);
 
   /// Runs one admitted job on a worker's Solver and fulfills its waiters.
-  template <bool IsTry, typename Request, typename Result>
-  void run_job(Solver& solver, const Request& req, RequestDigest key,
+  template <bool IsTry, typename R>
+  void run_job(Solver& solver, const R& req, RequestDigest key,
                RequestDigest flight_key);
 
-  template <typename Request, typename Result>
-  const Result* cache_find_locked(RequestDigest key);
-  template <typename Request, typename Result>
-  void cache_insert_locked(RequestDigest key, const Result& value);
+  template <typename R>
+  const typename R::Result* cache_find_locked(RequestDigest key);
+  template <typename R>
+  void cache_insert_locked(RequestDigest key, const typename R::Result& value);
 
   void worker_loop();
 
@@ -285,19 +272,211 @@ class SolverService {
   std::deque<std::function<void(Solver&)>> queue_;
   bool shutdown_ = false;
   ServiceStats stats_;
-  Lane<MultiplyRequest, MultiplyResult> multiply_lane_;
-  Lane<LisRequest, LisResult> lis_lane_;
-  Lane<LcsRequest, LcsResult> lcs_lane_;
-  /// The query tier's lanes: cached BuildIndexResults keep their handles
-  /// (and through them the shared indexes) alive while hot, so identical
-  /// builds from many clients resolve to ONE index; query batches cache
-  /// like any other result, keyed on (index id, windows).
-  Lane<BuildIndexRequest, BuildIndexResult> build_index_lane_;
-  Lane<WindowLisQuery, WindowLisResult> window_lis_lane_;
-  Lane<SubstringLcsQuery, SubstringLcsResult> substring_lcs_lane_;
+  /// Cached BuildIndexResults keep their handles (and through them the
+  /// shared indexes) alive while hot, so identical builds from many
+  /// clients resolve to ONE index.
+  typename LanesOf<RequestTypes>::type lanes_;
   /// Last member: its destructor joins the worker loops, which may touch
   /// every field above while draining.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+// ---------------------------------------------------------------------------
+// Template definitions: instantiated once per listed request type.
+// ---------------------------------------------------------------------------
+
+template <typename R>
+const typename R::Result* SolverService::cache_find_locked(
+    RequestDigest key) {
+  auto& ln = lane<R>();
+  const auto it = ln.cache.find(key);
+  if (it == ln.cache.end()) return nullptr;
+  ln.lru.splice(ln.lru.begin(), ln.lru, it->second);  // refresh recency
+  return &it->second->second;
+}
+
+template <typename R>
+void SolverService::cache_insert_locked(RequestDigest key,
+                                        const typename R::Result& value) {
+  if (options_.cache_capacity == 0) return;
+  auto& ln = lane<R>();
+  if (const auto it = ln.cache.find(key); it != ln.cache.end()) {
+    it->second->second = value;
+    ln.lru.splice(ln.lru.begin(), ln.lru, it->second);
+    return;
+  }
+  ln.lru.emplace_front(key, value);
+  ln.cache[key] = ln.lru.begin();
+  if (ln.cache.size() > options_.cache_capacity) {
+    ln.cache.erase(ln.lru.back().first);
+    ln.lru.pop_back();
+  }
+}
+
+template <bool IsTry, typename R>
+SolverService::SubmitReturn<IsTry, R> SolverService::attach_waiter(
+    Flight<typename R::Result>& flight) {
+  if constexpr (IsTry) {
+    std::promise<TrySolveResult<typename R::Result>> p;
+    Submission<typename R::Result> sub;
+    sub.future = p.get_future();
+    sub.admission.backend = options_.solver.backend;
+    flight.try_waiters.push_back(std::move(p));
+    return sub;
+  } else {
+    std::promise<typename R::Result> p;
+    auto fut = p.get_future();
+    flight.solve_waiters.push_back(std::move(p));
+    return fut;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Jobs.
+// ---------------------------------------------------------------------------
+
+template <bool IsTry, typename R>
+void SolverService::run_job(Solver& solver, const R& req, RequestDigest key,
+                            RequestDigest flight_key) {
+  using Result = typename R::Result;
+  if (options_.solve_hook) options_.solve_hook();
+  if constexpr (!IsTry) {
+    Result value{};
+    std::exception_ptr error;
+    try {
+      value = solver.solve(req);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::vector<std::promise<Result>> waiters;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.solves;
+      if (error) ++stats_.solve_errors;
+      auto& ln = lane<R>();
+      const auto it = ln.in_flight.find(flight_key);
+      waiters = std::move(it->second->solve_waiters);
+      ln.in_flight.erase(it);
+      // Errors are never cached: faults and space overruns depend on
+      // mutable cluster state, so a retry can legitimately succeed.
+      if (!error) cache_insert_locked<R>(key, value);
+    }
+    for (auto& p : waiters) {
+      if (error) {
+        p.set_exception(error);
+      } else {
+        p.set_value(value);
+      }
+    }
+  } else {
+    const TrySolveResult<Result> res = solver.try_solve(req);
+    std::vector<std::promise<TrySolveResult<Result>>> waiters;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.solves;
+      if (!res.report.ok()) ++stats_.solve_errors;
+      auto& ln = lane<R>();
+      const auto it = ln.in_flight.find(flight_key);
+      waiters = std::move(it->second->try_waiters);
+      ln.in_flight.erase(it);
+      // Degraded values are correct but shaped like the fallback backend
+      // (zero rounds/reports), so they must not satisfy future requests
+      // that expect a healthy MpcSim answer.
+      if (res.report.ok() && !res.report.degraded) {
+        cache_insert_locked<R>(key, res.value);
+      }
+    }
+    for (auto& p : waiters) p.set_value(res);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Admission.
+// ---------------------------------------------------------------------------
+
+template <bool IsTry, typename R>
+SolverService::SubmitReturn<IsTry, R> SolverService::submit_impl(R req) {
+  using Result = typename R::Result;
+  using Ret = SubmitReturn<IsTry, R>;
+
+  const RequestDigest key = request_digest(req);
+  // The submit and try_submit flavors fail differently (throwing future vs
+  // degrading report), so they never coalesce with each other: the
+  // in-flight table is keyed with the flavor mixed in. The result cache
+  // uses the pure digest — values are shared.
+  RequestDigest flight_key = key;
+  if constexpr (IsTry) flight_key.hi ^= 0x7472795f666c7476ULL;
+
+  const auto reject = [&](const std::string& why) -> Ret {
+    ++stats_.rejected;
+    if constexpr (IsTry) {
+      Submission<Result> sub;
+      sub.admission.status = SolveStatus::kOverloaded;
+      sub.admission.backend = options_.solver.backend;
+      sub.admission.message = why;
+      return sub;
+    } else {
+      throw OverloadedError(why);
+    }
+  };
+
+  std::unique_lock<std::mutex> lock(mu_);
+  ++stats_.submitted;
+  for (;;) {
+    if (shutdown_) return reject("SolverService is shutting down");
+
+    // 1) Completed identical request in the result cache.
+    if (const Result* hit = cache_find_locked<R>(key)) {
+      ++stats_.cache_hits;
+      if constexpr (IsTry) {
+        TrySolveResult<Result> res;
+        res.value = *hit;
+        res.report.backend = options_.solver.backend;
+        res.report.cached = true;
+        std::promise<TrySolveResult<Result>> p;
+        p.set_value(std::move(res));
+        Submission<Result> sub;
+        sub.future = p.get_future();
+        sub.admission.backend = options_.solver.backend;
+        return sub;
+      } else {
+        std::promise<Result> p;
+        p.set_value(*hit);
+        return p.get_future();
+      }
+    }
+
+    // 2) Identical request already in flight: attach, consume no slot.
+    auto& ln = lane<R>();
+    if (const auto it = ln.in_flight.find(flight_key);
+        it != ln.in_flight.end()) {
+      ++stats_.coalesced;
+      return attach_waiter<IsTry, R>(*it->second);
+    }
+
+    // 3) Admission control on the bounded queue.
+    if (queue_.size() < options_.queue_depth) break;
+    if (options_.admission == AdmissionPolicy::kReject) {
+      return reject("queue full (depth " +
+                    std::to_string(options_.queue_depth) + ")");
+    }
+    // Block until a worker frees a slot, then re-run the whole ladder:
+    // while we slept the request may have become in-flight or cached.
+    space_cv_.wait(lock);
+  }
+
+  // 4) Admit: one flight, one queued job.
+  auto flight = std::make_shared<Flight<Result>>();
+  Ret ret = attach_waiter<IsTry, R>(*flight);
+  lane<R>().in_flight.emplace(flight_key, std::move(flight));
+  ++stats_.admitted;
+  queue_.push_back(
+      [this, req = std::move(req), key, flight_key](Solver& solver) {
+        run_job<IsTry, R>(solver, req, key, flight_key);
+      });
+  lock.unlock();
+  queue_cv_.notify_one();
+  return ret;
+}
 
 }  // namespace monge

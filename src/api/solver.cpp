@@ -151,9 +151,6 @@ lis::MpcLisOptions Solver::mpc_lis_options() const {
   return o;
 }
 
-MultiplyResult Solver::solve(const MultiplyRequest& req) {
-  return solve_on(options_.backend, req);
-}
 
 MultiplyResult Solver::solve_on(SolverBackend backend,
                                 const MultiplyRequest& req) {
@@ -288,9 +285,6 @@ std::vector<MultiplyResult> Solver::solve_batch(
   return out;
 }
 
-LisResult Solver::solve(const LisRequest& req) {
-  return solve_on(options_.backend, req);
-}
 
 LisResult Solver::solve_on(SolverBackend backend, const LisRequest& req) {
   LisResult out;
@@ -369,9 +363,6 @@ std::vector<LisResult> Solver::solve_batch(std::span<const LisRequest> reqs) {
   return out;
 }
 
-LcsResult Solver::solve(const LcsRequest& req) {
-  return solve_on(options_.backend, req);
-}
 
 LcsResult Solver::solve_on(SolverBackend backend, const LcsRequest& req) {
   LcsResult out;
@@ -478,9 +469,6 @@ std::vector<LcsResult> Solver::solve_batch(std::span<const LcsRequest> reqs) {
   return out;
 }
 
-BuildIndexResult Solver::solve(const BuildIndexRequest& req) {
-  return solve_on(options_.backend, req);
-}
 
 BuildIndexResult Solver::solve_on(SolverBackend backend,
                                   const BuildIndexRequest& req) {
@@ -552,9 +540,6 @@ BuildIndexResult Solver::solve_on(SolverBackend backend,
   return out;
 }
 
-WindowLisResult Solver::solve(const WindowLisQuery& req) {
-  return solve_on(options_.backend, req);
-}
 
 WindowLisResult Solver::solve_on(SolverBackend /*backend*/,
                                  const WindowLisQuery& req) {
@@ -569,9 +554,6 @@ WindowLisResult Solver::solve_on(SolverBackend /*backend*/,
   return {req.handle.index->window_lis_batch(req.windows)};
 }
 
-SubstringLcsResult Solver::solve(const SubstringLcsQuery& req) {
-  return solve_on(options_.backend, req);
-}
 
 SubstringLcsResult Solver::solve_on(SolverBackend /*backend*/,
                                     const SubstringLcsQuery& req) {
@@ -606,10 +588,10 @@ SolveStatus status_of(const Error& e) {
 
 }  // namespace
 
-template <typename Result, typename Request>
-TrySolveResult<Result> Solver::try_solve_impl(const Request& req) {
-  TrySolveResult<Result> out;
-  out.report.backend = options_.backend;
+SolveReport Solver::solve_reported(
+    const std::function<void(SolverBackend)>& run) {
+  SolveReport report;
+  report.backend = options_.backend;
 
   // The recovery counters accumulate across requests on one cluster, so
   // the per-request delta is (after - before) — unless the request itself
@@ -633,10 +615,10 @@ TrySolveResult<Result> Solver::try_solve_impl(const Request& req) {
   SolveStatus status = SolveStatus::kOk;
   std::string message;
   try {
-    out.value = solve_on(options_.backend, req);
-    out.report.recovery = recovery_delta();
-    out.report.representation = representation_delta();
-    return out;
+    run(options_.backend);
+    report.recovery = recovery_delta();
+    report.representation = representation_delta();
+    return report;
   } catch (const Error& e) {
     status = status_of(e);
     message = e.what();
@@ -648,10 +630,10 @@ TrySolveResult<Result> Solver::try_solve_impl(const Request& req) {
     status = SolveStatus::kInternalError;
     message = e.what();
   }
-  out.report.status = status;
-  out.report.message = message;
-  out.report.recovery = recovery_delta();
-  out.report.representation = representation_delta();
+  report.status = status;
+  report.message = message;
+  report.recovery = recovery_delta();
+  report.representation = representation_delta();
 
   // Graceful degradation: an MpcSim run killed by an unrecoverable fault
   // or a space overrun falls back to the Sequential backend. The failed
@@ -660,50 +642,24 @@ TrySolveResult<Result> Solver::try_solve_impl(const Request& req) {
   const bool degradable = options_.backend == SolverBackend::kMpcSim &&
                           (status == SolveStatus::kFault ||
                            status == SolveStatus::kSpaceLimit);
-  if (!degradable) return out;
+  if (!degradable) return report;
   cluster_.reset();
   cluster_cfg_ = mpc::MpcConfig{};
   try {
-    out.value = solve_on(SolverBackend::kSequential, req);
-    out.report.status = SolveStatus::kOk;
-    out.report.backend = SolverBackend::kSequential;
-    out.report.representation = representation_delta();
-    out.report.degraded = true;
-    out.report.message = std::string("MpcSim failed (") +
-                         solve_status_name(status) + "): " + message +
-                         "; degraded to sequential";
+    run(SolverBackend::kSequential);
+    report.status = SolveStatus::kOk;
+    report.backend = SolverBackend::kSequential;
+    report.representation = representation_delta();
+    report.degraded = true;
+    report.message = std::string("MpcSim failed (") +
+                     solve_status_name(status) + "): " + message +
+                     "; degraded to sequential";
   } catch (const std::exception& e) {
     // Fallback failed too: keep the original classification, note both.
-    out.report.message =
+    report.message =
         message + " (sequential fallback also failed: " + e.what() + ")";
   }
-  return out;
-}
-
-TrySolveResult<MultiplyResult> Solver::try_solve(const MultiplyRequest& req) {
-  return try_solve_impl<MultiplyResult>(req);
-}
-
-TrySolveResult<LisResult> Solver::try_solve(const LisRequest& req) {
-  return try_solve_impl<LisResult>(req);
-}
-
-TrySolveResult<LcsResult> Solver::try_solve(const LcsRequest& req) {
-  return try_solve_impl<LcsResult>(req);
-}
-
-TrySolveResult<BuildIndexResult> Solver::try_solve(
-    const BuildIndexRequest& req) {
-  return try_solve_impl<BuildIndexResult>(req);
-}
-
-TrySolveResult<WindowLisResult> Solver::try_solve(const WindowLisQuery& req) {
-  return try_solve_impl<WindowLisResult>(req);
-}
-
-TrySolveResult<SubstringLcsResult> Solver::try_solve(
-    const SubstringLcsQuery& req) {
-  return try_solve_impl<SubstringLcsResult>(req);
+  return report;
 }
 
 }  // namespace monge

@@ -56,6 +56,11 @@
 // direct caller constructing a fresh per-problem cluster would see; round
 // counts in results are per-request deltas either way).
 //
+// Request types: solve() and try_solve() are templates over the types
+// listed in RequestTypes (api/request.h); each resolves to that type's
+// private solve_on() route, so a listed type without a route fails to
+// build. solve_batch() keeps one overload per batchable type.
+//
 // Error handling: solve() throws the monge::Error taxonomy —
 // InvalidRequestError (bad options or request shapes), SpaceLimitError
 // (strict-mode budget overruns), FaultError (an injected fault the
@@ -74,6 +79,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -217,35 +223,14 @@ class Solver {
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
-  /// One product PC = PA ⊡ PB (full or subunit). Validates shapes
-  /// (b.rows() == a.cols(); kFull additionally requires full
-  /// permutations). Bit-identical to the delegate in the routing table.
-  MultiplyResult solve(const MultiplyRequest& req);
-
-  /// LIS (strict) of req.seq, plus kernel/window answers when requested.
-  LisResult solve(const LisRequest& req);
-
-  /// LCS of req.s and req.t via the Hunt–Szymanski match sequence.
-  LcsResult solve(const LcsRequest& req);
-
-  /// Builds a query::SemiLocalIndex once (Sequential: lis_kernel on the
-  /// owned engine; Reference: lis_kernel_reference; MpcSim: the
-  /// lis::mpc_lis kernel, rounds reported) and returns it as a shared
-  /// QueryHandle. All backends produce bit-identical indexes. The handle
-  /// is self-owning — no Solver state outlives the call, so handles work
-  /// across Solver instances and service workers.
-  BuildIndexResult solve(const BuildIndexRequest& req);
-
-  /// Answers req.windows against req.handle's index in O(log² n) each —
-  /// no engine work on any backend (the index already holds the semi-local
-  /// distribution). Throws InvalidRequestError on an empty handle or a
-  /// kSubstringLcs-mode index.
-  WindowLisResult solve(const WindowLisQuery& req);
-
-  /// Answers req.substrings against req.handle's kSubstringLcs index.
-  /// Throws InvalidRequestError on an empty handle or a kWindowLis-mode
-  /// index.
-  SubstringLcsResult solve(const SubstringLcsQuery& req);
+  /// Solves one request of any type in RequestTypes on options().backend
+  /// — bit-identical to the delegate in the routing table. Throws the
+  /// monge::Error taxonomy (InvalidRequestError for bad request shapes,
+  /// e.g. b.rows() != a.cols() or a kFull multiply of sub-permutations).
+  template <SolverRequest R>
+  typename R::Result solve(const R& req) {
+    return solve_on(options_.backend, req);
+  }
 
   /// Batched products, results in request order. Sequential: at most one
   /// batched engine call per request kind (one arena sizing each, striped
@@ -278,17 +263,13 @@ class Solver {
   /// cluster is torn down so the next MpcSim request starts clean. The
   /// report also carries the per-request RecoveryStats delta, so chaos
   /// runs can audit how much recovery work their answer cost.
-  TrySolveResult<MultiplyResult> try_solve(const MultiplyRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<LisResult> try_solve(const LisRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<LcsResult> try_solve(const LcsRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<BuildIndexResult> try_solve(const BuildIndexRequest& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<WindowLisResult> try_solve(const WindowLisQuery& req);
-  /// @copydoc try_solve(const MultiplyRequest&)
-  TrySolveResult<SubstringLcsResult> try_solve(const SubstringLcsQuery& req);
+  template <SolverRequest R>
+  TrySolveResult<typename R::Result> try_solve(const R& req) {
+    TrySolveResult<typename R::Result> out;
+    out.report = solve_reported(
+        [&](SolverBackend backend) { out.value = solve_on(backend, req); });
+    return out;
+  }
 
   /// @return the options, exactly as validated at construction.
   const SolverOptions& options() const { return options_; }
@@ -307,8 +288,13 @@ class Solver {
   const mpc::Cluster* cluster() const { return cluster_.get(); }
 
  private:
-  /// solve() bodies, parameterized on the backend so try_solve can
-  /// re-route a failed MpcSim request to kSequential.
+  /// The routes: one solve() body per request type, parameterized on the
+  /// backend so try_solve can re-route a failed MpcSim request to
+  /// kSequential. BuildIndexRequest builds the index with the backend's
+  /// kernel builder (all bit-identical) and returns a self-owning handle
+  /// usable across Solver instances; the two query routes are pure index
+  /// lookups that throw InvalidRequestError on an empty handle or an index
+  /// of the other mode.
   MultiplyResult solve_on(SolverBackend backend, const MultiplyRequest& req);
   LisResult solve_on(SolverBackend backend, const LisRequest& req);
   LcsResult solve_on(SolverBackend backend, const LcsRequest& req);
@@ -318,12 +304,10 @@ class Solver {
   SubstringLcsResult solve_on(SolverBackend backend,
                               const SubstringLcsQuery& req);
 
-  /// Shared try_solve machinery: run on options().backend, classify any
-  /// escape into a SolveStatus, degrade MpcSim fault/space failures to
-  /// the Sequential backend. Defined in solver.cpp (only instantiated
-  /// there).
-  template <typename Result, typename Request>
-  TrySolveResult<Result> try_solve_impl(const Request& req);
+  /// try_solve's request-independent half: calls run(options().backend),
+  /// classifies any escape into a SolveStatus, degrades MpcSim fault/space
+  /// failures by calling run(kSequential), and returns the report.
+  SolveReport solve_reported(const std::function<void(SolverBackend)>& run);
 
   /// Returns the cluster to use for an MpcSim request of input size n,
   /// (re)provisioning if none exists or the auto-computed config changed.

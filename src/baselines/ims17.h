@@ -17,7 +17,8 @@
 // straddling net thresholds at block boundaries (additive O(n·ε) for net
 // size K = Θ(levels/ε); the (1+ε) multiplicative guarantee therefore holds
 // for inputs whose LIS is Ω(n), and is validated empirically in the tests
-// and the ablation bench). See DESIGN.md for this substitution.
+// and the ablation bench). docs/ARCHITECTURE.md ("Deviations from the
+// paper") documents this substitution.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,8 @@
 // The control plane (which line/box lives where, interval metadata) is
 // orchestrated by the simulation driver; all point data, tree indices,
 // rank queries and result routing move through counted, space-checked
-// messages. See DESIGN.md for the exact list of shortcuts.
+// messages. docs/ARCHITECTURE.md ("Deviations from the paper") lists
+// every shortcut.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "monge/engine.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 
 #include "monge/core_sparse.h"
 #include "monge/steady_ant_simd.h"
@@ -96,15 +96,10 @@ std::size_t persistent_bytes(std::int64_t m, std::int64_t h) {
 }
 
 /// One top-level call's resolved options plus the per-size arena budget.
-/// `sizes` (owned by the engine, so it persists across calls) is fully
-/// populated for every reachable recursive size by the single-threaded
-/// node_bytes() call at the top level, after which forked workers only
-/// read it via node_bytes_cached().
 struct Plan {
   std::int64_t cutoff;
   std::int64_t grain;
   ThreadPool* pool;
-  std::map<std::int64_t, std::size_t>& sizes;
   double core_cutoff;
   std::int64_t core_min_n;
   detail::SeaweedRepCounters* rep;
@@ -119,35 +114,53 @@ struct Plan {
     return core_cutoff > 0 && n >= core_min_n && n > cutoff;
   }
 
-  std::size_t node_bytes(std::int64_t n) {
-    if (n <= 1) return 0;
-    if (n <= cutoff) return base_case_bytes(n);
-    if (const auto it = sizes.find(n); it != sizes.end()) return it->second;
-    const std::int64_t m = n / 2;
-    const std::int64_t h = n - m;
-    const std::size_t children = fork(n)
-                                     ? node_bytes(m) + node_bytes(h)
-                                     : std::max(node_bytes(m), node_bytes(h));
-    const std::size_t dense =
-        persistent_bytes(m, h) +
-        std::max({split_scratch_bytes(n), combine_scratch_bytes(n), children});
-    // Probed nodes may take the block path, whose worst dense block of size
-    // B < n needs two shifted input copies plus that block's own dense
-    // frame: 2·slot(B) + dense(B) <= 2·slot(n) + dense(n) (both summands
-    // are monotone in the size), so inflating by two size-n slots covers
-    // every decomposition the data can produce.
-    const std::size_t total =
-        probe(n) ? dense + 2 * slot_bytes<std::int32_t>(n) : dense;
-    sizes.emplace(n, total);
-    return total;
-  }
+  /// Arena budget of a size-n node, for any n: the top level, a forked
+  /// child, or a core-sparse block. Pure, so forked workers may call it.
+  std::size_t node_bytes(std::int64_t n) const { return pair_bytes(n, n)[0]; }
 
-  std::size_t node_bytes_cached(std::int64_t n) const {
-    if (n <= 1) return 0;
-    if (n <= cutoff) return base_case_bytes(n);
-    return sizes.at(n);
+  /// Budgets of the sizes lo = ⌊n/2^d⌋ and hi = ⌈n/2^d⌉, the only two node
+  /// sizes at depth d of a size-n call, computed bottom-up from depth
+  /// d + 1's pair: O(log n) time, no state, no allocation.
+  std::array<std::size_t, 2> pair_bytes(std::int64_t lo,
+                                        std::int64_t hi) const {
+    std::array<std::size_t, 2> next{};
+    if (hi > cutoff) next = pair_bytes(lo / 2, (hi + 1) / 2);
+    const auto child = [&](std::int64_t c) {
+      return next[c == lo / 2 ? 0 : 1];
+    };
+    const auto bytes = [&](std::int64_t size) -> std::size_t {
+      if (size <= 1) return 0;
+      if (size <= cutoff) return base_case_bytes(size);
+      const std::int64_t m = size / 2;
+      const std::int64_t h = size - m;
+      const std::size_t children = fork(size)
+                                       ? child(m) + child(h)
+                                       : std::max(child(m), child(h));
+      const std::size_t dense =
+          persistent_bytes(m, h) + std::max({split_scratch_bytes(size),
+                                             combine_scratch_bytes(size),
+                                             children});
+      // Probed nodes may take the block path, whose worst dense block of
+      // size B < size needs two shifted input copies (2·slot(B) <=
+      // 2·slot(size)) plus that block's own frame: at most dense(size)
+      // above the cutoff, and at most the base case of min(size - 1,
+      // cutoff) at or below it (which can exceed dense(size) just above
+      // the cutoff).
+      if (!probe(size)) return dense;
+      return std::max(dense, base_case_bytes(std::min(size - 1, cutoff))) +
+             2 * slot_bytes<std::int32_t>(size);
+    };
+    return {bytes(lo), bytes(hi)};
   }
 };
+
+/// The Plan of one top-level call on an engine with these options.
+Plan make_plan(const SeaweedEngineOptions& options,
+               detail::SeaweedRepCounters* rep) {
+  return {options.base_case_cutoff,    options.parallel_grain,
+          options.pool,                options.core_density_cutoff,
+          options.core_probe_min_n,    rep};
+}
 
 // ---------------------------------------------------------------------------
 // Base case: dense distribution-matrix (min,+) product, the arena version of
@@ -318,8 +331,8 @@ void mul_rec(std::span<const std::int32_t> a, std::span<const std::int32_t> b,
   // concurrently on disjoint arena slices.
   if (plan.fork(n)) {
     const std::size_t mark = arena.mark();
-    Arena lo_arena = arena.carve(plan.node_bytes_cached(m));
-    Arena hi_arena = arena.carve(plan.node_bytes_cached(h));
+    Arena lo_arena = arena.carve(plan.node_bytes(m));
+    Arena hi_arena = arena.carve(plan.node_bytes(h));
     plan.pool->invoke_two(
         [&] { solve_adaptive(a_lo, b_lo, a_lo, lo_arena, plan); },
         [&] { solve_adaptive(a_hi, b_hi, a_hi, hi_arena, plan); });
@@ -482,10 +495,9 @@ void batch_rec(std::size_t lo, std::size_t hi, ThreadPool* pool,
 }
 
 /// The shared batch skeleton: validate + budget every entry up front
-/// (`budget_of(i)`, which must also populate the plan's size cache —
-/// single-threaded, so the striped solvers below only read it), size the
-/// arena ONCE for the whole batch, then either solve back-to-back on the
-/// shared span or carve one disjoint slice per entry and fork-join.
+/// (`budget_of(i)`), size the arena ONCE for the whole batch, then either
+/// solve back-to-back on the shared span or carve one disjoint slice per
+/// entry and fork-join.
 /// `arena_span(bytes)` is the engine's buffer accessor; `solve(i, arena)`
 /// runs entry i. Budgets are 64-byte multiples, so carving preserves
 /// alignment.
@@ -551,8 +563,8 @@ std::vector<std::vector<std::int32_t>> raw_batch(std::size_t count,
 // subunit_node_bytes and guarantees capacity.
 // ---------------------------------------------------------------------------
 
-std::size_t subunit_node_bytes(Plan& plan, std::int64_t ra, std::int64_t n2,
-                               std::int64_t b_cols) {
+std::size_t subunit_node_bytes(const Plan& plan, std::int64_t ra,
+                               std::int64_t n2, std::int64_t b_cols) {
   // Arena layout: the padded permutations and the surviving-row/column maps
   // persist across the core solve; the column-occupancy scratch is rewound
   // before it, so the budget takes the max of the two phases. There are at
@@ -705,10 +717,7 @@ RepresentationStats SeaweedEngine::representation_stats() const {
 }
 
 std::size_t SeaweedEngine::arena_bytes_for(std::int64_t n) const {
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
+  const Plan plan = make_plan(options_, &rep_counters_);
   return plan.node_bytes(n);
 }
 
@@ -739,10 +748,7 @@ void SeaweedEngine::multiply_into(std::span<const std::int32_t> a,
     out[0] = 0;
     return;
   }
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
+  const Plan plan = make_plan(options_, &rep_counters_);
   const auto span = arena_span(plan.node_bytes(n));
   Arena arena(span.data(), span.size());
   solve_adaptive(a, b, out, arena, plan);
@@ -753,10 +759,7 @@ void SeaweedEngine::multiply_batch_into(
     std::span<const std::span<std::int32_t>> outs) {
   MONGE_CHECK(pairs.size() == outs.size());
   if (pairs.empty()) return;
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
+  const Plan plan = make_plan(options_, &rep_counters_);
   solve_batch(
       pairs.size(), plan, [this](std::size_t bytes) { return arena_span(bytes); },
       [&](std::size_t i) {
@@ -787,10 +790,7 @@ void SeaweedEngine::subunit_multiply_into(PermView a, PermView b,
                                           std::int64_t b_cols,
                                           std::span<std::int32_t> out) {
   check_subunit_shapes(a, b, b_cols, out);
-  Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-            options_.pool,               size_cache_,
-            options_.core_density_cutoff, options_.core_probe_min_n,
-            &rep_counters_};
+  const Plan plan = make_plan(options_, &rep_counters_);
   const auto span = arena_span(
       subunit_node_bytes(plan, static_cast<std::int64_t>(a.size()),
                          static_cast<std::int64_t>(b.size()), b_cols));
@@ -803,10 +803,7 @@ void SeaweedEngine::subunit_multiply_batch_into(
     std::span<const std::span<std::int32_t>> outs) {
   MONGE_CHECK(pairs.size() == outs.size());
   if (!pairs.empty()) {
-    Plan plan{options_.base_case_cutoff,    options_.parallel_grain,
-              options_.pool,               size_cache_,
-              options_.core_density_cutoff, options_.core_probe_min_n,
-              &rep_counters_};
+    const Plan plan = make_plan(options_, &rep_counters_);
     solve_batch(
         pairs.size(), plan,
         [this](std::size_t bytes) { return arena_span(bytes); },

@@ -75,7 +75,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -347,7 +346,7 @@ class SeaweedEngine {
   std::size_t arena_capacity() const { return buffer_.size(); }
 
   /// Exact number of scratch bytes a full-permutation multiply of size n
-  /// will reserve (memoized; for tests and benchmarks).
+  /// will reserve (for tests and benchmarks).
   ///
   /// @param n problem size (rows of PA).
   /// @return the arena budget in bytes for one size-n core solve.
@@ -365,10 +364,6 @@ class SeaweedEngine {
   /// does not change observable products, and incremented from forked
   /// workers during a call (hence atomics — see detail::SeaweedRepCounters).
   mutable detail::SeaweedRepCounters rep_counters_;
-  /// Per-size arena budgets, memoized across calls (options are fixed at
-  /// construction, so entries never go stale). Mutated only by the owning
-  /// thread; forked workers read it through a const Plan.
-  mutable std::map<std::int64_t, std::size_t> size_cache_;
 };
 
 /// Thread-local sequential engine with a persistent arena; backs the

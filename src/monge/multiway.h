@@ -12,7 +12,8 @@
 //     chains, δ anchors on the right boundary, and the row/column strip
 //     points (our packing sends a point to every crossed box of its
 //     row/column block with matching color — a factor-H relaxation of the
-//     Lemma 3.12 packing, documented in DESIGN.md);
+//     Lemma 3.12 packing, documented in docs/ARCHITECTURE.md,
+//     "Deviations from the paper");
 //   * points in uncrossed boxes survive iff their color equals the box's
 //     uniform opt value; interesting cells (Lemma 3.9) are added by the box
 //     solver.

@@ -18,6 +18,8 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "api/solver.h"
 #include "lcs/hunt_szymanski.h"
@@ -55,6 +57,23 @@ std::vector<std::int32_t> near_identity_perm(std::int64_t n,
   auto p = identity_raw(n);
   for (std::int64_t c = 0; c < clusters && width <= n; ++c) {
     shuffle_window(p, rng.next_below(n - width + 1), width, rng);
+  }
+  return p;
+}
+
+/// Identity with `count` interior rows (drawn from [1, n-1)) permuted
+/// among themselves: the core is sparse but scattered over the whole
+/// range, so the block decomposition yields one interacting block of
+/// nearly — but not exactly — size n.
+std::vector<std::int32_t> scattered_core_perm(std::int64_t n,
+                                              std::int64_t count, Rng& rng) {
+  auto p = identity_raw(n);
+  auto rows = rng.permutation(n - 2);
+  rows.resize(static_cast<std::size_t>(count));
+  auto targets = rows;
+  rng.shuffle(targets);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    p[static_cast<std::size_t>(rows[k]) + 1] = targets[k] + 1;
   }
   return p;
 }
@@ -516,29 +535,65 @@ TEST(CoreSparseEngine, CountersTrackDispatchDecisions) {
 TEST(CoreSparseEngine, ResultsAndCountersDeterministicUnderThreadCounts) {
   Rng rng(20260813);
   const std::int64_t n = 2048;
-  const auto a = near_identity_perm(n, 4, 16, rng);
-  const auto b = near_identity_perm(n, 4, 16, rng);
-  const auto want = oracle_engine().multiply_raw(a, b);
+  // Localized clusters, and a scattered core whose one interacting block
+  // is larger than parallel_grain but smaller than n — the forked dense
+  // recursion inside that block must budget sizes the top-level split
+  // never visits.
+  const std::vector<std::pair<std::vector<std::int32_t>,
+                              std::vector<std::int32_t>>>
+      inputs = {
+          {near_identity_perm(n, 4, 16, rng),
+           near_identity_perm(n, 4, 16, rng)},
+          {scattered_core_perm(n, n / 64, rng),
+           scattered_core_perm(n, n / 64, rng)},
+      };
 
-  RepresentationStats first{};
-  bool have_first = false;
-  for (const int threads : {1, 2, 3, 4}) {
-    ThreadPool pool(threads);
-    SeaweedEngine engine({.parallel_grain = 64,
-                          .pool = &pool,
-                          .core_density_cutoff = 0.25,
-                          .core_probe_min_n = 64});
-    const auto before = engine.representation_stats();
-    EXPECT_EQ(engine.multiply_raw(a, b), want) << "threads=" << threads;
-    const auto delta = engine.representation_stats() - before;
-    if (!have_first) {
-      first = delta;
-      have_first = true;
-    } else {
-      EXPECT_EQ(delta, first) << "threads=" << threads;
+  for (std::size_t input = 0; input < inputs.size(); ++input) {
+    const auto& [a, b] = inputs[input];
+    const auto want = oracle_engine().multiply_raw(a, b);
+    RepresentationStats first{};
+    bool have_first = false;
+    for (const int threads : {1, 2, 3, 4}) {
+      ThreadPool pool(threads);
+      SeaweedEngine engine({.parallel_grain = 64,
+                            .pool = &pool,
+                            .core_density_cutoff = 0.25,
+                            .core_probe_min_n = 64});
+      const auto before = engine.representation_stats();
+      EXPECT_EQ(engine.multiply_raw(a, b), want)
+          << "input=" << input << " threads=" << threads;
+      const auto delta = engine.representation_stats() - before;
+      if (!have_first) {
+        first = delta;
+        have_first = true;
+      } else {
+        EXPECT_EQ(delta, first) << "input=" << input << " threads=" << threads;
+      }
+    }
+    EXPECT_GT(first.core_sparse_nodes, 0) << "input=" << input;
+  }
+}
+
+TEST(CoreSparseEngine, BlockBudgetCoversBlocksUpToTheBaseCaseCutoff) {
+  // A long swap (0, B-1) makes one dense block of size B. With a large
+  // base-case cutoff, a block at or below the cutoff runs the cubic base
+  // case, which can need more arena than the dense frame of a node just
+  // above the cutoff. Fresh engines keep a warm arena from hiding a short
+  // budget.
+  const std::int64_t cutoff = 16;
+  SeaweedEngine oracle({.base_case_cutoff = cutoff, .core_density_cutoff = 0});
+  for (std::int64_t n = cutoff + 1; n <= 2 * cutoff + 8; ++n) {
+    for (std::int64_t block = 2; block < n; ++block) {
+      auto a = identity_raw(n);
+      std::swap(a[0], a[static_cast<std::size_t>(block - 1)]);
+      const auto b = a;
+      SeaweedEngine engine({.base_case_cutoff = cutoff,
+                            .core_density_cutoff = 0.25,
+                            .core_probe_min_n = 2});
+      EXPECT_EQ(engine.multiply_raw(a, b), oracle.multiply_raw(a, b))
+          << "n=" << n << " block=" << block;
     }
   }
-  EXPECT_GT(first.core_sparse_nodes, 0);
 }
 
 TEST(CoreSparseEngine, SubunitNearIdentityTakesTheBlockPath) {

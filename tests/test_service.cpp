@@ -14,6 +14,8 @@
 #include <future>
 #include <latch>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,6 +70,141 @@ TEST(RequestDigest, DistinguishesPayloadsAndFieldBoundaries) {
   const LisRequest lis_like{.seq = {1, 2}};
   const LcsRequest lcs_like{.s = {1, 2}, .t = {}};
   EXPECT_NE(request_digest(lis_like), request_digest(lcs_like));
+}
+
+TEST(RequestDigest, PinnedValuesPerType) {
+  // Digests are cache keys, so their values are part of the contract: a
+  // refactor of the request or service code must not move them. Query
+  // requests use an empty handle (id 0) so the value is process-independent.
+  const auto expect_digest = [](RequestDigest got, std::uint64_t lo,
+                                std::uint64_t hi) {
+    EXPECT_EQ(got, (RequestDigest{lo, hi}));
+  };
+  expect_digest(
+      request_digest(MultiplyRequest{Perm::reverse(8), Perm::identity(8)}),
+      0xc50d49c6c5848cf0ULL, 0x32593e7a43ddec32ULL);
+  expect_digest(request_digest(LisRequest{.seq = {3, 1, 4, 1, 5, 9, 2, 6},
+                                          .want_kernel = true,
+                                          .windows = {{1, 5}, {6, 2}}}),
+                0x5e976ee6506e69a1ULL, 0x3f3bd4a75ecff676ULL);
+  expect_digest(request_digest(LcsRequest{.s = {1, 2, 3, 2}, .t = {2, 3, 1}}),
+                0xf8b8a4a67b8a7123ULL, 0x578332acd471efccULL);
+  expect_digest(
+      request_digest(BuildIndexRequest{
+          .kind = BuildIndexRequest::Kind::kSubstringLcs,
+          .seq = {1, 2, 3},
+          .t = {3, 2, 1}}),
+      0x43830c942c81a07eULL, 0x6e9478b9e0cb8984ULL);
+  expect_digest(request_digest(WindowLisQuery{{}, {{0, 3}, {2, 1}}}),
+                0xa86d825939091242ULL, 0x451d7ee5e7e949b5ULL);
+  expect_digest(request_digest(SubstringLcsQuery{{}, {{1, 2}}}),
+                0x8e67956a1a8e5d4dULL, 0x1a3b716d4534795cULL);
+}
+
+// ---------------------------------------------------------------------------
+// Coverage driven by RequestTypes: every listed type must solve, submit,
+// try_submit and cache. A listed type without a solve_on route fails to
+// build here.
+// ---------------------------------------------------------------------------
+
+template <typename List>
+struct TupleOf;
+template <typename... Rs>
+struct TupleOf<RequestList<Rs...>> {
+  using type = std::tuple<Rs...>;
+};
+
+/// One sample request per listed type; the query samples run against
+/// indexes built on `solver`.
+TupleOf<RequestTypes>::type sample_requests(Solver& solver, Rng& rng) {
+  TupleOf<RequestTypes>::type samples;
+  std::get<MultiplyRequest>(samples) = {Perm::random(24, rng),
+                                        Perm::random(24, rng)};
+  std::get<LisRequest>(samples) = {.seq = random_sequence(40, 100, rng),
+                                   .want_kernel = true,
+                                   .windows = {{0, 9}, {4, 30}, {8, 3}}};
+  std::get<LcsRequest>(samples) = {.s = random_sequence(20, 5, rng),
+                                   .t = random_sequence(24, 5, rng)};
+  std::get<BuildIndexRequest>(samples) = {.seq = random_sequence(32, 50, rng)};
+  const QueryHandle lis_index =
+      solver.solve(BuildIndexRequest{.seq = random_sequence(30, 60, rng)})
+          .handle;
+  const QueryHandle lcs_index =
+      solver
+          .solve(BuildIndexRequest{
+              .kind = BuildIndexRequest::Kind::kSubstringLcs,
+              .seq = random_sequence(18, 4, rng),
+              .t = random_sequence(22, 4, rng)})
+          .handle;
+  std::get<WindowLisQuery>(samples) = {lis_index, {{0, 29}, {3, 17}, {9, 2}}};
+  std::get<SubstringLcsQuery>(samples) = {lcs_index, {{0, 17}, {2, 11}}};
+  return samples;
+}
+
+void expect_same(const MultiplyResult& got, const MultiplyResult& want) {
+  EXPECT_EQ(got.c, want.c);
+  EXPECT_EQ(got.report.rounds, want.report.rounds);
+}
+void expect_same(const LisResult& got, const LisResult& want) {
+  EXPECT_EQ(std::tie(got.lis, got.kernel, got.window_lis, got.rounds,
+                     got.merge_levels),
+            std::tie(want.lis, want.kernel, want.window_lis, want.rounds,
+                     want.merge_levels));
+}
+void expect_same(const LcsResult& got, const LcsResult& want) {
+  EXPECT_EQ(std::tie(got.lcs, got.matches, got.rounds),
+            std::tie(want.lcs, want.matches, want.rounds));
+}
+void expect_same(const BuildIndexResult& got, const BuildIndexResult& want) {
+  // Distinct solves build distinct (bit-identical) indexes, so the handles
+  // compare by what they index, not by identity.
+  ASSERT_TRUE(got.handle.valid());
+  EXPECT_EQ(std::tie(got.n, got.points, got.full, got.rounds),
+            std::tie(want.n, want.points, want.full, want.rounds));
+}
+void expect_same(const WindowLisResult& got, const WindowLisResult& want) {
+  EXPECT_EQ(got.lis, want.lis);
+}
+void expect_same(const SubstringLcsResult& got,
+                 const SubstringLcsResult& want) {
+  EXPECT_EQ(got.lcs, want.lcs);
+}
+
+template <typename R>
+void expect_round_trip(const R& req) {
+  using Result = typename R::Result;
+  Solver fresh;
+  static_assert(std::is_same_v<decltype(fresh.solve(req)), Result>);
+  static_assert(std::is_same_v<decltype(fresh.try_solve(req)),
+                               TrySolveResult<Result>>);
+  const Result want = fresh.solve(req);
+
+  SolverService submit_service({.workers = 1});
+  expect_same(submit_service.submit(req).get(), want);
+
+  SolverService try_service({.workers = 1});
+  auto first = try_service.try_submit(req);
+  ASSERT_TRUE(first.admitted());
+  const TrySolveResult<Result> fresh_res = first.future.get();
+  ASSERT_TRUE(fresh_res.ok()) << fresh_res.report.message;
+  EXPECT_FALSE(fresh_res.report.cached);
+  expect_same(fresh_res.value, want);
+
+  auto again = try_service.try_submit(req);
+  ASSERT_TRUE(again.admitted());
+  const TrySolveResult<Result> cached_res = again.future.get();
+  EXPECT_TRUE(cached_res.report.cached);
+  expect_same(cached_res.value, want);
+  EXPECT_EQ(try_service.stats().solves, 1);
+  EXPECT_EQ(try_service.stats().cache_hits, 1);
+}
+
+TEST(SolverService, EveryListedRequestTypeSolvesSubmitsAndCaches) {
+  Rng rng(9);
+  Solver index_solver;
+  const auto samples = sample_requests(index_solver, rng);
+  std::apply([](const auto&... req) { (expect_round_trip(req), ...); },
+             samples);
 }
 
 TEST(SolverService, OptionsValidatedAtConstruction) {
