@@ -2,9 +2,9 @@
 // eps, on a long-LIS workload (where the (1+eps) guarantee binds).
 #include <cstdio>
 
-#include "baselines/ims17.h"
 #include "bench_common.h"
 #include "lis/sequential.h"
+#include "oracles/ims17.h"
 #include "util/table.h"
 
 using namespace monge;

@@ -10,6 +10,8 @@
 #include "lcs/hunt_szymanski.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
+#include "oracles/oracles.h"
 
 using namespace monge;
 
@@ -42,7 +44,8 @@ void BM_LisKernelPerMerge(benchmark::State& state) {
   Rng rng(2);
   const auto p = rng.permutation(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lis::lis_kernel_reference(p));
+    benchmark::DoNotOptimize(
+        lis::lis_kernel_reference(p, default_seaweed_engine()));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -15,6 +15,7 @@
 #include "monge/steady_ant.h"
 #include "monge/steady_ant_simd.h"
 #include "monge/subperm.h"
+#include "oracles/oracles.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 

@@ -8,10 +8,10 @@
 //   This paper        Theorem 1.3                              O(log n)
 #include <cstdio>
 
-#include "baselines/ims17.h"
 #include "bench_common.h"
 #include "lis/mpc_lis.h"
 #include "lis/sequential.h"
+#include "oracles/ims17.h"
 #include "util/table.h"
 
 using namespace monge;

@@ -14,6 +14,7 @@
 
 #include "api/solver.h"
 #include "lcs/hunt_szymanski.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 using namespace monge;
@@ -84,14 +85,17 @@ int main(int argc, char** argv) {
   Solver solver({.backend = SolverBackend::kMpcSim, .mpc_delta = 0.5});
   const LcsResult res = solver.solve(LcsRequest{fragment_a, fragment_b});
 
-  const std::int64_t oracle = lcs::lcs_dp(fragment_a, fragment_b);
+  // Cross-check against the sequential Hunt–Szymanski route (patience
+  // sorting over the same match sequence).
+  const std::int64_t sequential = lcs::lcs_hs(fragment_a, fragment_b);
   std::printf("match pairs: %lld   MPC rounds: %lld\n",
               static_cast<long long>(res.matches),
               static_cast<long long>(res.rounds));
-  std::printf("LCS length: %lld (DP oracle %lld, %s)\n",
+  std::printf("LCS length: %lld (sequential Hunt–Szymanski %lld, %s)\n",
               static_cast<long long>(res.lcs),
-              static_cast<long long>(oracle),
-              res.lcs == oracle ? "agrees" : "MISMATCH");
+              static_cast<long long>(sequential),
+              res.lcs == sequential ? "agrees" : "MISMATCH");
+  MONGE_CHECK(res.lcs == sequential);  // a wrong answer fails the run
   std::printf("similarity: %.1f%% of the shorter fragment\n",
               100.0 * static_cast<double>(res.lcs) /
                   static_cast<double>(

@@ -10,6 +10,7 @@
 
 #include "api/solver.h"
 #include "lis/sequential.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 using namespace monge;
@@ -39,16 +40,19 @@ int main() {
       static_cast<long long>(mpc.cluster()->machines()),
       static_cast<long long>(res.report.max_machine_words),
       static_cast<long long>(mpc.cluster()->space_words()));
+  MONGE_CHECK(res.c == c_seq);  // a wrong product fails the run
 
   // --- 3. Exact LIS in O(log n) rounds ----------------------------------
   LisRequest lis_req;
   lis_req.seq.resize(2048);
   for (auto& x : lis_req.seq) x = rng.next_in(0, 1 << 30);
   const LisResult lis = mpc.solve(lis_req);  // re-provisions for 2048
+  const std::int64_t patience = lis::lis_length(lis_req.seq);
   std::printf("LIS of %zu random numbers: %lld (patience agrees: %s), "
               "%lld rounds\n",
               lis_req.seq.size(), static_cast<long long>(lis.lis),
-              lis.lis == lis::lis_length(lis_req.seq) ? "yes" : "NO",
+              lis.lis == patience ? "yes" : "NO",
               static_cast<long long>(lis.rounds));
+  MONGE_CHECK(lis.lis == patience);
   return 0;
 }

@@ -3,15 +3,14 @@
 // A request is pure data: the inputs of one of the library's deliverables
 // (Theorem 1.1 full multiply, Theorem 1.2 subunit multiply, Theorem 1.3
 // LIS with the semi-local kernel and windowed queries, Corollary 1.3.1
-// LCS). Which algorithm actually runs — the sequential engine, the
-// simulated MPC cluster, or the retained reference oracles — is chosen by
-// the Solver's backend, never by the request; the same request can be
-// replayed against every backend, which is exactly what the bit-identity
-// tests do.
+// LCS). Which algorithm actually runs — the sequential engine or the
+// simulated MPC cluster — is chosen by the Solver's backend, never by the
+// request; the same request can be replayed against every backend, which
+// is exactly what the bit-identity tests do.
 //
 // Results carry the existing reports/stats unchanged: the MPC backend
-// fills core::MpcMultiplyReport / round counts, the other backends leave
-// them zero. See api/solver.h for the routing table.
+// fills core::MpcMultiplyReport / round counts, the Sequential backend
+// leaves them zero. See api/solver.h for the routing table.
 //
 // Every request struct names its result type (`using Result = ...`), and
 // RequestTypes at the bottom of this file lists every request type once.
@@ -67,7 +66,7 @@ struct MultiplyRequest {
 struct MultiplyResult {
   Perm c;  ///< the product PA ⊡ PB.
   /// Round/space accounting of the cluster call. Filled by the MpcSim
-  /// backend; all-zero for Sequential and Reference.
+  /// backend; all-zero for Sequential.
   core::MpcMultiplyReport report{};
 };
 
@@ -83,8 +82,7 @@ struct LisRequest {
   bool want_kernel = false;
   /// Inclusive [l, r] windows answered offline; l > r is a legitimate
   /// empty window (answers 0). Non-empty implies a kernel is built
-  /// internally (except on the Reference backend, which answers windows
-  /// with the per-window patience oracle).
+  /// internally.
   std::vector<std::pair<std::int64_t, std::int64_t>> windows;
 };
 

@@ -11,21 +11,27 @@
 //
 // Routing table (request × backend → delegate):
 //
-// | Request            | kSequential                    | kMpcSim                          | kReference                  |
-// | ------------------ | ------------------------------ | -------------------------------- | --------------------------- |
-// | Multiply kFull     | SeaweedEngine::multiply        | core::mpc_unit_monge_multiply    | seaweed_multiply_reference_raw |
-// | Multiply kSubunit  | subunit_multiply               | core::mpc_subunit_multiply       | subunit_multiply_padded     |
-// | Multiply batch     | multiply_batch_into /          | core::mpc_*_multiply_batch       | per-pair reference calls    |
-// |                    | subunit_multiply_batch_into    | (rounds shared per level)        |                             |
-// | Lis length-only    | lis::lis_length (patience)     | lis::mpc_lis                     | lis::lis_length_dp          |
-// | Lis kernel         | lis::lis_kernel                | lis::mpc_lis                     | lis::lis_kernel_reference   |
-// | Lis windows        | kernel + kernel_window_lis_batch | mpc_lis kernel + same          | lis::lis_window_batch       |
-// | Lis batch (kernel) | lis::lis_kernel_batch          | per-request mpc_lis              | per-request reference       |
-// | Lcs                | lcs::lcs_hs                    | lcs::mpc_lcs                     | lcs::lcs_dp                 |
-// | BuildIndex         | SemiLocalIndex over lis_kernel | SemiLocalIndex over mpc_lis      | SemiLocalIndex over         |
-// |                    |                                | kernel (rounds reported)         | lis_kernel_reference        |
-// | WindowLis /        | pure index lookups — backend-independent by construction (the index already holds the       |
-// | SubstringLcs query | semi-local distribution; no engine or cluster work on any backend)                          |
+// | Request            | kSequential                      | kMpcSim                          |
+// | ------------------ | -------------------------------- | -------------------------------- |
+// | Multiply kFull     | SeaweedEngine::multiply          | core::mpc_unit_monge_multiply    |
+// | Multiply kSubunit  | subunit_multiply                 | core::mpc_subunit_multiply       |
+// | Multiply batch     | multiply_batch_into /            | core::mpc_*_multiply_batch       |
+// |                    | subunit_multiply_batch_into      | (rounds shared per level)        |
+// | Lis length-only    | lis::lis_length (patience)       | lis::mpc_lis                     |
+// | Lis kernel         | lis::lis_kernel                  | lis::mpc_lis                     |
+// | Lis windows        | kernel + kernel_window_lis_batch | mpc_lis kernel + same            |
+// | Lis batch (kernel) | lis::lis_kernel_batch            | per-request mpc_lis              |
+// | Lcs                | lcs::lcs_hs                      | lcs::mpc_lcs                     |
+// | BuildIndex         | SemiLocalIndex over lis_kernel   | SemiLocalIndex over mpc_lis      |
+// |                    |                                  | kernel (rounds reported)         |
+// | WindowLis /        | pure index lookups — backend-independent by construction (the     |
+// | SubstringLcs query | index already holds the semi-local distribution; no engine or     |
+// |                    | cluster work on either backend)                                   |
+//
+// The slower reference oracles these routes are differential-tested
+// against (textbook recursion, padded subunit reduction, depth-first
+// kernel, DP and per-window patience) are not part of the library; they
+// live in tests/oracles.
 //
 // Batching contract: a Sequential solve_batch costs exactly one batched
 // engine call per request kind — MultiplyRequest batches group into at
@@ -99,14 +105,10 @@ enum class SolverBackend {
   /// The paper's MPC algorithms on the simulated cluster (rounds/space
   /// accounting in the results).
   kMpcSim = 1,
-  /// The retained reference oracles (textbook recursion, padded subunit
-  /// reduction, depth-first kernel, DP/patience oracles) — for
-  /// differential testing; asymptotically slower on some routes.
-  kReference = 2,
 };
 
-/// @return a stable human-readable name ("sequential", "mpc-sim",
-///     "reference") for logging and bench labels.
+/// @return a stable human-readable name ("sequential", "mpc-sim") for
+///     logging and bench labels.
 const char* solver_backend_name(SolverBackend backend);
 
 /// Outcome classification of a try_solve / try_submit call — the ErrorCode
@@ -148,7 +150,7 @@ struct SolveReport {
   /// Representation decisions this request caused on the Solver-owned
   /// engine (dense vs. core-sparse nodes, block outcomes) — a per-request
   /// delta of SeaweedEngine::representation_stats(). Zeros for routes that
-  /// never touch the owned engine (patience/DP oracles, the MpcSim
+  /// never touch the owned engine (patience sorting, the MpcSim
   /// cluster's per-worker engines, index lookups).
   RepresentationStats representation{};
 
@@ -236,16 +238,15 @@ class Solver {
   /// batched engine call per request kind (one arena sizing each, striped
   /// across the pool when configured). MpcSim: one *_batch cluster call
   /// per kind, all pairs sharing rounds (the report in every result of a
-  /// kind group is that group's shared batch report). Reference: per-pair
-  /// reference calls. Bit-identical to per-request solve() on the
-  /// Sequential and Reference backends.
+  /// kind group is that group's shared batch report). Bit-identical to
+  /// per-request solve() on the Sequential backend.
   std::vector<MultiplyResult> solve_batch(
       std::span<const MultiplyRequest> reqs);
 
   /// Batched LIS, results in request order. Sequential: every kernel the
   /// batch needs is built through ONE lis_kernel_batch forest pass (one
   /// batched engine call per merge level); length-only requests route to
-  /// patience sorting. MpcSim/Reference: per-request solve().
+  /// patience sorting. MpcSim: per-request solve().
   std::vector<LisResult> solve_batch(std::span<const LisRequest> reqs);
 
   /// Batched LCS, results in request order. Sequential: requests are
@@ -253,7 +254,7 @@ class Solver {
   /// per distinct t, identical (s, t) pairs collapse onto one subproblem,
   /// and all distinct match-sequence LIS subproblems ride one
   /// lis_kernel_batch forest pass. Bit-identical to per-request solve().
-  /// MpcSim/Reference: per-request solve().
+  /// MpcSim: per-request solve().
   std::vector<LcsResult> solve_batch(std::span<const LcsRequest> reqs);
 
   /// Non-throwing solve(): classifies any monge::Error into a SolveStatus

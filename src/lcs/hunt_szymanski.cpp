@@ -1,6 +1,5 @@
 #include "lcs/hunt_szymanski.h"
 
-#include <algorithm>
 #include <map>
 
 #include "lis/sequential.h"
@@ -67,29 +66,6 @@ std::int64_t lcs_hs(std::span<const std::int64_t> s,
                     std::span<const std::int64_t> t) {
   const auto seq = hs_match_sequence(s, t);
   return lis::lis_length(seq);
-}
-
-std::int64_t lcs_dp(std::span<const std::int64_t> s,
-                    std::span<const std::int64_t> t) {
-  const auto ns = static_cast<std::int64_t>(s.size());
-  const auto nt = static_cast<std::int64_t>(t.size());
-  std::vector<std::int64_t> prev(static_cast<std::size_t>(nt) + 1, 0);
-  std::vector<std::int64_t> cur(static_cast<std::size_t>(nt) + 1, 0);
-  for (std::int64_t i = 1; i <= ns; ++i) {
-    for (std::int64_t j = 1; j <= nt; ++j) {
-      if (s[static_cast<std::size_t>(i - 1)] ==
-          t[static_cast<std::size_t>(j - 1)]) {
-        cur[static_cast<std::size_t>(j)] =
-            prev[static_cast<std::size_t>(j - 1)] + 1;
-      } else {
-        cur[static_cast<std::size_t>(j)] =
-            std::max(prev[static_cast<std::size_t>(j)],
-                     cur[static_cast<std::size_t>(j - 1)]);
-      }
-    }
-    std::swap(prev, cur);
-  }
-  return prev[static_cast<std::size_t>(nt)];
 }
 
 }  // namespace monge::lcs

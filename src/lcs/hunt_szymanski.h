@@ -65,8 +65,4 @@ std::int64_t hs_match_count(std::span<const std::int64_t> s,
 std::int64_t lcs_hs(std::span<const std::int64_t> s,
                     std::span<const std::int64_t> t);
 
-/// O(|s|·|t|) DP oracle.
-std::int64_t lcs_dp(std::span<const std::int64_t> s,
-                    std::span<const std::int64_t> t);
-
 }  // namespace monge::lcs

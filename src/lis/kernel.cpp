@@ -10,53 +10,6 @@ namespace monge::lis {
 
 namespace {
 
-/// The kernel as a raw row->col array (kNone = empty row). The whole
-/// value-split recursion stays in this representation and every merge runs
-/// on the engine's direct subunit path, so no Perm is constructed (or
-/// validated) until lis_kernel_reference wraps the final result. This is
-/// the pre-batching depth-first builder: one engine call per merge.
-std::vector<std::int32_t> kernel_rec(const std::vector<std::int32_t>& p,
-                                     SeaweedEngine& engine) {
-  const auto n = static_cast<std::int64_t>(p.size());
-  if (n == 0) return {};
-  if (n == 1) return {kNone};  // empty kernel: LIS of one element is 1
-
-  const std::int64_t mid = n / 2;
-  std::vector<std::int32_t> lo_pos, hi_pos, p_lo, p_hi;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int32_t v = p[static_cast<std::size_t>(i)];
-    if (v < mid) {
-      lo_pos.push_back(static_cast<std::int32_t>(i));
-      p_lo.push_back(v);
-    } else {
-      hi_pos.push_back(static_cast<std::int32_t>(i));
-      p_hi.push_back(static_cast<std::int32_t>(v - mid));
-    }
-  }
-  const std::vector<std::int32_t> k_lo = kernel_rec(p_lo, engine);
-  const std::vector<std::int32_t> k_hi = kernel_rec(p_hi, engine);
-
-  // Embed: A = K_lo at lo positions + identity at hi positions;
-  //        B = identity at lo positions + K_hi at hi positions.
-  std::vector<std::int32_t> a(static_cast<std::size_t>(n), kNone),
-      b(static_cast<std::size_t>(n), kNone);
-  for (std::size_t i = 0; i < k_lo.size(); ++i) {
-    if (k_lo[i] != kNone) {
-      a[static_cast<std::size_t>(lo_pos[i])] =
-          lo_pos[static_cast<std::size_t>(k_lo[i])];
-    }
-  }
-  for (std::int32_t pos : hi_pos) a[static_cast<std::size_t>(pos)] = pos;
-  for (std::int32_t pos : lo_pos) b[static_cast<std::size_t>(pos)] = pos;
-  for (std::size_t i = 0; i < k_hi.size(); ++i) {
-    if (k_hi[i] != kNone) {
-      b[static_cast<std::size_t>(hi_pos[i])] =
-          hi_pos[static_cast<std::size_t>(k_hi[i])];
-    }
-  }
-  return engine.subunit_multiply_raw(a, b, n);
-}
-
 // ---------------------------------------------------------------------------
 // Level-order builder. The value-split tree of every input is a STATIC
 // structure (node sizes split floor/ceil independently of the data), so it
@@ -70,7 +23,8 @@ std::vector<std::int32_t> kernel_rec(const std::vector<std::int32_t>& p,
 // SeaweedEngine::subunit_multiply_batch_into call — sharing a single arena
 // sizing and striping across the engine's pool. Auxiliary memory stays
 // O(n) (topology + cursors + one level's embeddings); the merge arrays are
-// exactly kernel_rec's and the engine batch is bit-identical to per-call
+// exactly those of the depth-first recursion (lis_kernel_reference in
+// tests/oracles) and the engine batch is bit-identical to per-call
 // subunit_multiply_into, so the kernels match the reference bit for bit.
 // ---------------------------------------------------------------------------
 
@@ -106,7 +60,7 @@ std::vector<std::vector<std::int32_t>> kernel_forest(
   std::int32_t max_depth = 0;
 
   // Build the static topology per input: split the value interval
-  // [vlo, vhi) at vlo + size/2 (kernel_rec's mid) until single values; a
+  // [vlo, vhi) at vlo + size/2 (the recursion's mid) until single values; a
   // size-1 leaf's kernel is the empty point set ({kNone}).
   for (std::size_t t = 0; t < perms.size(); ++t) {
     const auto n = static_cast<std::int64_t>(perms[t].size());
@@ -141,7 +95,7 @@ std::vector<std::vector<std::int32_t>> kernel_forest(
       } else {
         const std::int64_t vmid = r.vlo + (r.vhi - r.vlo) / 2;
         // Push hi first so the lo child gets the smaller node id (matches
-        // kernel_rec's recursion order; ids are otherwise arbitrary).
+        // the depth-first recursion order; ids are otherwise arbitrary).
         stack.push_back({vmid, r.vhi, id, false});
         stack.push_back({r.vlo, vmid, id, true});
       }
@@ -161,7 +115,7 @@ std::vector<std::vector<std::int32_t>> kernel_forest(
     // Element sweep in original position order: an element participates in
     // this level iff its current node's parent sits at depth d. Visit
     // order within a node is its node-local position order, so the
-    // running lo/hi counts are exactly kernel_rec's lo_pos / hi_pos ranks.
+    // running lo/hi counts are exactly the recursion's lo/hi position ranks.
     std::vector<LevelMerge> merges;
     for (std::size_t t = 0; t < perms.size(); ++t) {
       for (std::int32_t& nd : elem_node[t]) {
@@ -185,7 +139,7 @@ std::vector<std::vector<std::int32_t>> kernel_forest(
 
     // Embed: A = K_lo at lo positions + identity at hi positions;
     //        B = identity at lo positions + K_hi at hi positions —
-    // the same arrays kernel_rec builds per merge.
+    // the same arrays the recursion builds per merge.
     std::vector<std::vector<std::int32_t>> ab;  // a, b interleaved per merge
     ab.reserve(2 * merges.size());
     for (const LevelMerge& mg : merges) {
@@ -281,18 +235,6 @@ std::vector<Perm> lis_kernel_batch(
                                   static_cast<std::int64_t>(perms[t].size())));
   }
   return out;
-}
-
-Perm lis_kernel_reference(std::span<const std::int32_t> perm) {
-  return lis_kernel_reference(perm, default_seaweed_engine());
-}
-
-Perm lis_kernel_reference(std::span<const std::int32_t> perm,
-                          SeaweedEngine& engine) {
-  check_permutation(perm);
-  const std::vector<std::int32_t> p(perm.begin(), perm.end());
-  return Perm::from_rows(kernel_rec(p, engine),
-                         static_cast<std::int64_t>(perm.size()));
 }
 
 std::int64_t lis_from_kernel(const Perm& kernel) {

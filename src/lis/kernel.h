@@ -18,9 +18,9 @@
 // (SeaweedEngine::subunit_multiply_batch_into) covering all of the level's
 // (A, B) embedding pairs — O(log n) engine calls total, each sharing a
 // single arena sizing and striping across the engine's pool when one is
-// configured. lis_kernel_reference keeps the pre-batching depth-first
-// recursion (one engine call per merge) as the differential-fuzz reference
-// and per-merge benchmark baseline.
+// configured. The pre-batching depth-first recursion (one engine call per
+// merge) lives in tests/oracles as the differential-fuzz reference and
+// per-merge benchmark baseline.
 //
 // Representation note: the merge products run through the engine's
 // density-adaptive dispatch (monge/core_sparse.h) with no code here —
@@ -45,7 +45,7 @@ namespace monge::lis {
 
 /// Sequential kernel of a permutation (O(n log^2 n)). Level-order: one
 /// batched subunit-Monge product per merge level on the thread-local
-/// default SeaweedEngine. Bit-identical to lis_kernel_reference.
+/// default SeaweedEngine. Bit-identical to the depth-first recursion.
 ///
 /// @param perm a permutation of [0, n) (validated).
 /// @return the n×n kernel sub-permutation.
@@ -80,23 +80,6 @@ std::vector<Perm> lis_kernel_batch(
 /// @return one kernel per input, in input order.
 std::vector<Perm> lis_kernel_batch(
     std::span<const std::vector<std::int32_t>> perms, SeaweedEngine& engine);
-
-/// The pre-batching depth-first recursion: one engine call
-/// (subunit_multiply_raw) per merge, O(n) calls total. Kept as the
-/// differential-fuzz reference for the level-order builder and as the
-/// per-merge baseline in bench/lis_wallclock.
-///
-/// @param perm a permutation of [0, n) (validated).
-/// @return the n×n kernel sub-permutation.
-Perm lis_kernel_reference(std::span<const std::int32_t> perm);
-
-/// Same, on a caller-provided engine.
-///
-/// @param perm a permutation of [0, n) (validated).
-/// @param engine the engine every per-merge subunit product runs on.
-/// @return the n×n kernel sub-permutation.
-Perm lis_kernel_reference(std::span<const std::int32_t> perm,
-                          SeaweedEngine& engine);
 
 /// LIS of the whole permutation from its kernel: n − #points.
 ///

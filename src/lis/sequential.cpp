@@ -20,23 +20,6 @@ std::int64_t lis_length(std::span<const std::int64_t> seq) {
   return static_cast<std::int64_t>(tails.size());
 }
 
-std::int64_t lis_length_dp(std::span<const std::int64_t> seq) {
-  const auto n = static_cast<std::int64_t>(seq.size());
-  std::vector<std::int64_t> best(static_cast<std::size_t>(n), 1);
-  std::int64_t ans = n == 0 ? 0 : 1;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < i; ++j) {
-      if (seq[static_cast<std::size_t>(j)] < seq[static_cast<std::size_t>(i)]) {
-        best[static_cast<std::size_t>(i)] =
-            std::max(best[static_cast<std::size_t>(i)],
-                     best[static_cast<std::size_t>(j)] + 1);
-      }
-    }
-    ans = std::max(ans, best[static_cast<std::size_t>(i)]);
-  }
-  return ans;
-}
-
 std::int64_t lis_window(std::span<const std::int64_t> seq, std::int64_t l,
                         std::int64_t r) {
   // Empty windows (l > r, including the r == -1 empty-sequence query) are
@@ -45,15 +28,6 @@ std::int64_t lis_window(std::span<const std::int64_t> seq, std::int64_t l,
   MONGE_CHECK(l >= 0 && r < static_cast<std::int64_t>(seq.size()));
   return lis_length(seq.subspan(static_cast<std::size_t>(l),
                                 static_cast<std::size_t>(r - l + 1)));
-}
-
-std::vector<std::int64_t> lis_window_batch(
-    std::span<const std::int64_t> seq,
-    std::span<const std::pair<std::int64_t, std::int64_t>> windows) {
-  std::vector<std::int64_t> out;
-  out.reserve(windows.size());
-  for (const auto& [l, r] : windows) out.push_back(lis_window(seq, l, r));
-  return out;
 }
 
 std::vector<std::int32_t> rank_reduce_strict(

@@ -1,10 +1,9 @@
 // Sequential LIS algorithms: Fredman's patience sorting (the O(n log n)
-// classical algorithm the paper cites) and brute-force oracles for tests.
+// classical algorithm the paper cites) and the strict-LIS rank reduction.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace monge::lis {
@@ -12,19 +11,9 @@ namespace monge::lis {
 /// Length of the longest strictly increasing subsequence (O(n log n)).
 std::int64_t lis_length(std::span<const std::int64_t> seq);
 
-/// O(n^2) DP oracle.
-std::int64_t lis_length_dp(std::span<const std::int64_t> seq);
-
 /// LIS of the window seq[l..r] inclusive (patience on the window).
 std::int64_t lis_window(std::span<const std::int64_t> seq, std::int64_t l,
                         std::int64_t r);
-
-/// Per-window patience oracle for a batch of [l, r] windows: O(q · n log n),
-/// the reference `kernel_window_lis_batch` is fuzzed against (the kernel
-/// answers the same batch in O((n + q) log n)).
-std::vector<std::int64_t> lis_window_batch(
-    std::span<const std::int64_t> seq,
-    std::span<const std::pair<std::int64_t, std::int64_t>> windows);
 
 /// Strict-LIS rank reduction: maps a sequence with possible duplicates to a
 /// permutation of [0, n) ordered by (value asc, position desc), so that

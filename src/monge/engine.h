@@ -11,9 +11,9 @@
 // nested forks cannot deadlock). The per-node combine is the steady-ant
 // walk dispatched through steady_ant_simd.h (blocked descent + mask-select
 // resolution on the widest ISA the host offers; MONGE_FORCE_SCALAR pins it
-// back to the scalar walk). The result is bit-identical to
-// seaweed_multiply_reference_raw for every input: PA ⊡ PB is unique and
-// every combine path reproduces the same bits.
+// back to the scalar walk). The result is bit-identical to the textbook
+// recursion (the reference in tests/oracles) for every input: PA ⊡ PB is
+// unique and every combine path reproduces the same bits.
 //
 // Input-size limit: the combine packs each point as (coord << 1) | color
 // in one int32, so every dimension a public entry point accepts (n for the
@@ -203,7 +203,7 @@ class SeaweedEngine {
   /// PC = PA ⊡ PB on raw row->col index arrays; both inputs must be full
   /// permutations of [0, n) (validated in debug builds only).
   ///
-  /// Deterministic: bit-identical to seaweed_multiply_reference_raw for
+  /// Deterministic: bit-identical to the textbook recursion for
   /// every input, every knob choice and every thread count. Reuses (and
   /// possibly grows) the engine's arena; no other allocations after the
   /// first call of a given size beyond the returned vector.
@@ -266,9 +266,10 @@ class SeaweedEngine {
   /// the arena — no Perm construction and no heap temporaries — and the
   /// core solve reuses the padded-PA slot as its output.
   ///
-  /// Deterministic: bit-identical to subunit_multiply_padded's unpadded
-  /// result for every input and thread count. Sub-permutation validity of
-  /// the inputs is always checked (it falls out of the compaction pass).
+  /// Deterministic: bit-identical to the explicitly padded reduction
+  /// (subunit_pad_pair, multiply, subunit_unpad) for every input and
+  /// thread count. Sub-permutation validity of the inputs is always
+  /// checked (it falls out of the compaction pass).
   ///
   /// @param a row->col array of PA (kNone allowed), a.size() rows,
   ///     b.size() columns.

@@ -5,6 +5,8 @@
 // into row halves (§3.1 with H = 2), compact empty rows/columns, recurse,
 // re-expand through the M_A/M_B index maps, and combine the two colored
 // subresults with the steady ant. T(n) = 2 T(n/2) + O(n) = O(n log n).
+// The recursion runs on SeaweedEngine (monge/engine.h); the textbook
+// one-vector-per-node form it is tested against lives in tests/oracles.
 //
 // It is both the sequential baseline the MPC algorithm is measured against
 // and the local solver every simulated machine runs once a subproblem fits
@@ -25,11 +27,6 @@ namespace monge {
 /// size.
 std::vector<std::int32_t> seaweed_multiply_raw(std::span<const std::int32_t> a,
                                                std::span<const std::int32_t> b);
-
-/// The textbook recursion (one fresh std::vector per node), kept as the
-/// reference baseline the engine is fuzzed and benchmarked against.
-std::vector<std::int32_t> seaweed_multiply_reference_raw(
-    const std::vector<std::int32_t>& a, const std::vector<std::int32_t>& b);
 
 /// PC = PA ⊡ PB for full permutations (validating wrapper).
 Perm seaweed_multiply(const Perm& a, const Perm& b);

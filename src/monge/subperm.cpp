@@ -104,19 +104,4 @@ Perm subunit_unpad(const SubunitPadding& info, const Perm& padded_product) {
   return out;
 }
 
-Perm subunit_multiply_padded(const Perm& a, const Perm& b) {
-  return subunit_multiply_padded(a, b, default_seaweed_engine());
-}
-
-Perm subunit_multiply_padded(const Perm& a, const Perm& b,
-                             SeaweedEngine& engine) {
-  SubunitPadding info;
-  const auto padded = subunit_pad_pair(a, b, info);
-  if (info.empty) return Perm(info.out_rows, info.out_cols);
-  return subunit_unpad(
-      info, Perm::from_rows(engine.multiply_raw(padded.first.row_to_col(),
-                                                padded.second.row_to_col()),
-                            padded.first.cols()));
-}
-
 }  // namespace monge

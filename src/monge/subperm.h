@@ -16,11 +16,11 @@
 // (SeaweedEngine::subunit_multiply_into): the compact/extend arithmetic
 // happens in arena scratch and the product is read straight out of the
 // core solve — no padded Perm temporaries. The explicit padding
-// (SubunitPadding / subunit_pad_pair / subunit_unpad) is kept both as the
-// legacy reference path (`subunit_multiply_padded`, differential-fuzzed
-// against the direct path) and for callers that must materialize the
-// padded permutations anyway — the MPC reduction in core/mpc_subperm
-// feeds them to the cluster multiply.
+// (SubunitPadding / subunit_pad_pair / subunit_unpad) is kept for callers
+// that must materialize the padded permutations — the MPC reduction in
+// core/mpc_subperm feeds them to the cluster multiply, and the padded
+// reference the direct path is differential-fuzzed against
+// (tests/oracles) is built from them.
 #pragma once
 
 #include <utility>
@@ -35,7 +35,8 @@ class SeaweedEngine;
 /// PC = PA ⊡ PB for sub-permutations (Lemma 2.2 guarantees PC exists and is
 /// a sub-permutation). O((n2) log(n2)) on top of the compaction. Runs on
 /// the thread-local default SeaweedEngine (whose arena is reused across
-/// calls); deterministic — bit-identical to subunit_multiply_padded.
+/// calls); deterministic — bit-identical to the padded reduction
+/// (subunit_pad_pair, one full multiply, subunit_unpad).
 ///
 /// @param a sub-permutation PA (rA×n2).
 /// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
@@ -85,24 +86,5 @@ std::pair<Perm, Perm> subunit_pad_pair(const Perm& a, const Perm& b,
 /// @param padded_product P'A ⊡ P'B (n2×n2 full permutation).
 /// @return the product sub-permutation (info.out_rows × info.out_cols).
 Perm subunit_unpad(const SubunitPadding& info, const Perm& padded_product);
-
-/// The legacy reduction through explicitly padded Perms, kept as the
-/// reference the direct engine path is differential-fuzzed against. Runs
-/// on the thread-local default SeaweedEngine.
-///
-/// @param a sub-permutation PA (rA×n2).
-/// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
-/// @return the product sub-permutation (rA×cB).
-Perm subunit_multiply_padded(const Perm& a, const Perm& b);
-
-/// Same, on a caller-provided engine (arena reused across calls; results
-/// bit-identical for every thread count).
-///
-/// @param a sub-permutation PA (rA×n2).
-/// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
-/// @param engine the engine the padded core multiply runs on.
-/// @return the product sub-permutation (rA×cB).
-Perm subunit_multiply_padded(const Perm& a, const Perm& b,
-                             SeaweedEngine& engine);
 
 }  // namespace monge

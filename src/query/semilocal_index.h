@@ -4,16 +4,15 @@
 // Every LisRequest/LcsRequest used to discard the semi-local kernel after a
 // single batch of answers and re-run the whole seaweed machinery on the
 // next request. The index keeps the implicit semi-local distribution
-// instead: building it runs the existing kernel builders
-// (lis::lis_kernel / lis::lis_kernel_reference / lis::mpc_lis — all
-// bit-identical) exactly ONCE, then layers a range-dominance counting
-// structure over the kernel points in the style of the submatrix-maximum
-// structures of Gawrychowski–Mozes–Weimann (arXiv 1307.2313), so any
-// window query answers online in polylog time without touching the engine
-// again. The static-index design point is deliberate: the dynamic-LIS
-// lower bounds of Gawrychowski–Janczewski (arXiv 2102.11797) rule out
-// polylog per-update maintenance, so "index once, serve many" is the
-// scalable regime.
+// instead: building it runs one of the existing kernel builders
+// (lis::lis_kernel / lis::mpc_lis — bit-identical) exactly ONCE, then
+// layers a range-dominance counting structure over the kernel points in
+// the style of the submatrix-maximum structures of
+// Gawrychowski–Mozes–Weimann (arXiv 1307.2313), so any window query
+// answers online in polylog time without touching the engine again. The
+// static-index design point is deliberate: the dynamic-LIS lower bounds of
+// Gawrychowski–Janczewski (arXiv 2102.11797) rule out polylog per-update
+// maintenance, so "index once, serve many" is the scalable regime.
 //
 // Query identities (src/lis/kernel.h):
 //   LIS(seq[l..r])   = (r − l + 1) − KΣ(l, r + 1)
@@ -124,7 +123,7 @@ class SemiLocalIndex {
 
   /// LIS(seq[l..r]) in O(log² n) — bit-identical to
   /// lis::kernel_window_lis on the same kernel (pinned against the
-  /// lis::lis_window_batch patience oracle in tests/test_query.cpp).
+  /// per-window patience oracle in tests/test_query.cpp).
   ///
   /// @param l window start (inclusive).
   /// @param r window end (inclusive); l > r is a legitimate empty window
@@ -142,7 +141,7 @@ class SemiLocalIndex {
       std::span<const std::pair<std::int64_t, std::int64_t>> windows) const;
 
   /// LCS(s[i..j], t) in O(log² m), m the match count — LCS mode only
-  /// (throws otherwise). Matches lcs::lcs_dp on the substring.
+  /// (throws otherwise). Equals the LCS of the literal substring and t.
   ///
   /// @param i substring start in s (inclusive).
   /// @param j substring end in s (inclusive); i > j is a legitimate empty

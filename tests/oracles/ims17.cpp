@@ -1,4 +1,4 @@
-#include "baselines/ims17.h"
+#include "oracles/ims17.h"
 
 #include <algorithm>
 #include <limits>

@@ -6,6 +6,7 @@
 #include "monge/distribution.h"
 #include "monge/seaweed.h"
 #include "monge/subperm.h"
+#include "oracles/oracles.h"
 #include "testing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"

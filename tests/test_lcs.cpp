@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "lcs/mpc_lcs.h"
+#include "oracles/oracles.h"
 #include "util/rng.h"
 
 namespace monge::lcs {

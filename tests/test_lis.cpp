@@ -7,6 +7,7 @@
 #include "lis/kernel.h"
 #include "lis/mpc_lis.h"
 #include "monge/engine.h"
+#include "oracles/oracles.h"
 #include "testing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"

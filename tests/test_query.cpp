@@ -24,6 +24,7 @@
 #include "lcs/hunt_szymanski.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "oracles/oracles.h"
 #include "query/semilocal_index.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -173,6 +174,10 @@ TEST(SemiLocalIndex, WindowFuzzAgainstPatienceOracleAllFamilies) {
             << family.name << " seed=" << seed << " window=["
             << windows[q].first << ", " << windows[q].second << "]";
       }
+      // The offline kernel sweep answers the same batch identically.
+      const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+      EXPECT_EQ(lis::kernel_window_lis_batch(kernel, windows), want)
+          << family.name << " seed=" << seed;
     }
   }
 }
@@ -363,8 +368,7 @@ TEST(SolverQuery, BuildAndQueryBitIdenticalAcrossBackends) {
   const auto want = lis::lis_window_batch(seq, windows);
 
   for (const SolverBackend backend :
-       {SolverBackend::kSequential, SolverBackend::kReference,
-        SolverBackend::kMpcSim}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     Solver solver({.backend = backend});
     const BuildIndexResult built = solver.solve(BuildIndexRequest{
         .kind = BuildIndexRequest::Kind::kWindowLis, .seq = seq});
@@ -394,8 +398,7 @@ TEST(SolverQuery, SubstringLcsAcrossBackends) {
     want.push_back(lcs::lcs_dp(sub, t));
   }
   for (const SolverBackend backend :
-       {SolverBackend::kSequential, SolverBackend::kReference,
-        SolverBackend::kMpcSim}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     Solver solver({.backend = backend});
     const BuildIndexResult built = solver.solve(BuildIndexRequest{
         .kind = BuildIndexRequest::Kind::kSubstringLcs, .seq = s, .t = t});

@@ -219,44 +219,43 @@ TEST(SolverService, OptionsValidatedAtConstruction) {
   ServiceOptions bad_solver;
   bad_solver.solver.mpc_delta = 2.0;
   EXPECT_THROW(SolverService{bad_solver}, InvalidRequestError);
+  // 2 is the retired reference backend; it must fail closed too.
+  ServiceOptions bad_backend;
+  bad_backend.solver.backend = static_cast<SolverBackend>(2);
+  EXPECT_THROW(SolverService{bad_backend}, InvalidRequestError);
 }
 
-TEST(SolverService, MatchesDirectSolverOnSequentialAndReference) {
-  for (const auto backend :
-       {SolverBackend::kSequential, SolverBackend::kReference}) {
-    Rng rng(10);
-    SolverOptions sopts;
-    sopts.backend = backend;
-    Solver direct(sopts);
-    SolverService service({.solver = sopts, .workers = 2});
+TEST(SolverService, MatchesDirectSolverOnSequential) {
+  Rng rng(10);
+  Solver direct;
+  SolverService service({.workers = 2});
 
-    const MultiplyRequest mul{Perm::random(32, rng), Perm::random(32, rng)};
-    const MultiplyRequest sub{Perm::random_sub(20, 28, 12, rng),
-                              Perm::random_sub(28, 24, 14, rng),
-                              MultiplyRequest::Kind::kSubunit};
-    const LisRequest lis{.seq = random_sequence(48, 200, rng),
-                         .want_kernel = true,
-                         .windows = {{0, 10}, {5, 30}, {7, 2}}};
-    const LcsRequest lcs{.s = random_sequence(24, 6, rng),
-                         .t = random_sequence(30, 6, rng)};
+  const MultiplyRequest mul{Perm::random(32, rng), Perm::random(32, rng)};
+  const MultiplyRequest sub{Perm::random_sub(20, 28, 12, rng),
+                            Perm::random_sub(28, 24, 14, rng),
+                            MultiplyRequest::Kind::kSubunit};
+  const LisRequest lis{.seq = random_sequence(48, 200, rng),
+                       .want_kernel = true,
+                       .windows = {{0, 10}, {5, 30}, {7, 2}}};
+  const LcsRequest lcs{.s = random_sequence(24, 6, rng),
+                       .t = random_sequence(30, 6, rng)};
 
-    auto fm = service.submit(mul);
-    auto fs = service.submit(sub);
-    auto fl = service.submit(lis);
-    auto fc = service.submit(lcs);
+  auto fm = service.submit(mul);
+  auto fs = service.submit(sub);
+  auto fl = service.submit(lis);
+  auto fc = service.submit(lcs);
 
-    EXPECT_EQ(fm.get().c, direct.solve(mul).c);
-    EXPECT_EQ(fs.get().c, direct.solve(sub).c);
-    const auto lis_direct = direct.solve(lis);
-    const auto lis_served = fl.get();
-    EXPECT_EQ(lis_served.lis, lis_direct.lis);
-    EXPECT_EQ(lis_served.kernel, lis_direct.kernel);
-    EXPECT_EQ(lis_served.window_lis, lis_direct.window_lis);
-    const auto lcs_direct = direct.solve(lcs);
-    const auto lcs_served = fc.get();
-    EXPECT_EQ(lcs_served.lcs, lcs_direct.lcs);
-    EXPECT_EQ(lcs_served.matches, lcs_direct.matches);
-  }
+  EXPECT_EQ(fm.get().c, direct.solve(mul).c);
+  EXPECT_EQ(fs.get().c, direct.solve(sub).c);
+  const auto lis_direct = direct.solve(lis);
+  const auto lis_served = fl.get();
+  EXPECT_EQ(lis_served.lis, lis_direct.lis);
+  EXPECT_EQ(lis_served.kernel, lis_direct.kernel);
+  EXPECT_EQ(lis_served.window_lis, lis_direct.window_lis);
+  const auto lcs_direct = direct.solve(lcs);
+  const auto lcs_served = fc.get();
+  EXPECT_EQ(lcs_served.lcs, lcs_direct.lcs);
+  EXPECT_EQ(lcs_served.matches, lcs_direct.matches);
 }
 
 TEST(SolverService, MatchesDirectSolverOnMpcSimIncludingRounds) {
@@ -440,8 +439,7 @@ TEST(SolverService, CachedResultsBitIdenticalToFreshOnAllBackends) {
   const auto s = random_sequence(20, 5, rng);
   const auto t = random_sequence(24, 5, rng);
   for (const auto backend :
-       {SolverBackend::kSequential, SolverBackend::kMpcSim,
-        SolverBackend::kReference}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     SolverOptions sopts;
     sopts.backend = backend;
     sopts.cluster.threads = 1;

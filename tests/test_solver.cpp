@@ -19,6 +19,7 @@
 #include "lis/sequential.h"
 #include "monge/seaweed.h"
 #include "monge/subperm.h"
+#include "oracles/oracles.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -49,6 +50,9 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
   // Solver-validated knobs throw the taxonomy's InvalidRequestError.
   SolverOptions bad_backend;
   bad_backend.backend = static_cast<SolverBackend>(7);
+  EXPECT_THROW(Solver{bad_backend}, InvalidRequestError);
+  // 2 is the retired reference backend; it must fail closed too.
+  bad_backend.backend = static_cast<SolverBackend>(2);
   EXPECT_THROW(Solver{bad_backend}, InvalidRequestError);
 
   // Engine knobs are validated by the owned engine's constructor, which
@@ -83,17 +87,16 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
 
 TEST(SolverOptions, EchoedExactlyAndBackendNames) {
   SolverOptions opts;
-  opts.backend = SolverBackend::kReference;
+  opts.backend = SolverBackend::kMpcSim;
   opts.engine.base_case_cutoff = 3;
   opts.mpc_delta = 0.25;
   Solver solver(opts);
-  EXPECT_EQ(solver.options().backend, SolverBackend::kReference);
+  EXPECT_EQ(solver.options().backend, SolverBackend::kMpcSim);
   EXPECT_EQ(solver.options().engine.base_case_cutoff, 3);
   EXPECT_EQ(solver.options().mpc_delta, 0.25);
   EXPECT_EQ(solver.engine().options().base_case_cutoff, 3);
   EXPECT_STREQ(solver_backend_name(SolverBackend::kSequential), "sequential");
   EXPECT_STREQ(solver_backend_name(SolverBackend::kMpcSim), "mpc-sim");
-  EXPECT_STREQ(solver_backend_name(SolverBackend::kReference), "reference");
 }
 
 TEST(SolverOptions, ShapeValidationOnRequests) {
@@ -120,24 +123,6 @@ TEST(SolverMultiply, SequentialBitIdenticalToDirectCalls) {
         Perm::random_sub(n, (3 * n) / 2, n / 2, rng),
         MultiplyRequest::Kind::kSubunit};
     EXPECT_EQ(solver.solve(sub).c, subunit_multiply(sub.a, sub.b)) << n;
-  }
-}
-
-TEST(SolverMultiply, ReferenceBitIdenticalToReferenceOracles) {
-  Rng rng(12);
-  Solver solver({.backend = SolverBackend::kReference});
-  for (const std::int64_t n : {1, 2, 7, 32, 65}) {
-    const MultiplyRequest full{Perm::random(n, rng), Perm::random(n, rng)};
-    EXPECT_EQ(solver.solve(full).c,
-              Perm::from_rows(seaweed_multiply_reference_raw(
-                                  full.a.row_to_col(), full.b.row_to_col()),
-                              n))
-        << n;
-
-    const MultiplyRequest sub{Perm::random_sub(n, n, n / 2, rng),
-                              Perm::random_sub(n, n, n / 2, rng),
-                              MultiplyRequest::Kind::kSubunit};
-    EXPECT_EQ(solver.solve(sub).c, subunit_multiply_padded(sub.a, sub.b)) << n;
   }
 }
 
@@ -270,20 +255,6 @@ TEST(SolverLis, SequentialRoutesBitIdenticalToDirectCalls) {
   }
 }
 
-TEST(SolverLis, ReferenceRoutesBitIdenticalToOracles) {
-  Rng rng(18);
-  Solver solver({.backend = SolverBackend::kReference});
-  const std::int64_t n = 48;
-  const auto seq = random_sequence(n, 12, rng);
-  const auto windows = random_windows(n, 5, rng);
-  const auto res = solver.solve(
-      LisRequest{.seq = seq, .want_kernel = true, .windows = windows});
-  EXPECT_EQ(res.lis, lis::lis_length_dp(seq));
-  EXPECT_EQ(res.kernel,
-            lis::lis_kernel_reference(lis::rank_reduce_strict(seq)));
-  EXPECT_EQ(res.window_lis, lis::lis_window_batch(seq, windows));
-}
-
 TEST(SolverLis, SequentialBatchBitIdenticalToPerRequestSolve) {
   Rng rng(19);
   Solver solver;
@@ -335,12 +306,8 @@ TEST(SolverLcs, AllBackendsBitIdenticalToDirectCalls) {
   Solver seq_solver;
   const auto seq_res = seq_solver.solve(LcsRequest{s, t});
   EXPECT_EQ(seq_res.lcs, lcs::lcs_hs(s, t));
+  EXPECT_EQ(seq_res.lcs, lcs::lcs_dp(s, t));
   EXPECT_EQ(seq_res.matches, matches);
-
-  Solver ref_solver({.backend = SolverBackend::kReference});
-  const auto ref_res = ref_solver.solve(LcsRequest{s, t});
-  EXPECT_EQ(ref_res.lcs, lcs::lcs_dp(s, t));
-  EXPECT_EQ(ref_res.matches, matches);
 
   Solver mpc_solver({.backend = SolverBackend::kMpcSim});
   const auto mpc_res = mpc_solver.solve(LcsRequest{s, t});
@@ -349,23 +316,6 @@ TEST(SolverLcs, AllBackendsBitIdenticalToDirectCalls) {
   EXPECT_EQ(mpc_res.lcs, direct.lcs);
   EXPECT_EQ(mpc_res.matches, direct.matches);
   EXPECT_EQ(mpc_res.rounds, direct.rounds);
-}
-
-TEST(SolverLcs, ReferenceAndSequentialReportIdenticalMatches) {
-  // Regression: the Reference route used to materialize the full HS match
-  // sequence just to read .size(); it now uses lcs::hs_match_count, which
-  // must agree exactly with what the Sequential route reports.
-  Rng rng(31);
-  Solver seq_solver;
-  Solver ref_solver({.backend = SolverBackend::kReference});
-  for (int trial = 0; trial < 12; ++trial) {
-    const LcsRequest req{random_sequence(rng.next_in(0, 64), 5, rng),
-                         random_sequence(rng.next_in(0, 64), 5, rng)};
-    const auto seq_res = seq_solver.solve(req);
-    const auto ref_res = ref_solver.solve(req);
-    ASSERT_EQ(ref_res.matches, seq_res.matches) << trial;
-    ASSERT_EQ(ref_res.lcs, seq_res.lcs) << trial;
-  }
 }
 
 TEST(SolverLcs, BatchBitIdenticalToPerRequestSolveAllBackends) {
@@ -385,8 +335,7 @@ TEST(SolverLcs, BatchBitIdenticalToPerRequestSolveAllBackends) {
   reqs.push_back({shared_t, shared_t});
 
   for (const auto backend :
-       {SolverBackend::kSequential, SolverBackend::kMpcSim,
-        SolverBackend::kReference}) {
+       {SolverBackend::kSequential, SolverBackend::kMpcSim}) {
     SolverOptions opts;
     opts.backend = backend;
     opts.cluster.threads = 1;
