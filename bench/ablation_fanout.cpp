@@ -6,7 +6,7 @@
 
 #include "bench_common.h"
 #include "core/mpc_multiply.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "util/table.h"
 
 using namespace monge;
@@ -16,7 +16,7 @@ int main() {
   Rng rng(17);
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
-  const Perm expect = seaweed_multiply(a, b);
+  const Perm expect = default_seaweed_engine().multiply(a, b);
 
   std::printf("Fan-out ablation at n = %lld, delta = 0.5 (measured).\n\n",
               static_cast<long long>(n));

@@ -6,7 +6,7 @@
 
 #include "bench_common.h"
 #include "core/mpc_multiply.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "util/table.h"
 
 using namespace monge;
@@ -21,7 +21,7 @@ int main() {
     Rng rng(static_cast<std::uint64_t>(n));
     const Perm a = Perm::random(n, rng);
     const Perm b = Perm::random(n, rng);
-    const Perm expect = seaweed_multiply(a, b);
+    const Perm expect = default_seaweed_engine().multiply(a, b);
     const std::int64_t h = std::max<std::int64_t>(4, ipow_frac(n, 0.25));
 
     std::vector<std::string> row = {std::to_string(n), std::to_string(h)};

@@ -31,7 +31,7 @@ void BM_LisKernelSeq(benchmark::State& state) {
   Rng rng(2);
   const auto p = rng.permutation(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lis::lis_kernel(p));
+    benchmark::DoNotOptimize(lis::lis_kernel(p, default_seaweed_engine()));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -9,13 +9,12 @@
 
 #include "api/solver.h"
 #include "monge/core_sparse.h"
-#include "monge/distribution.h"
 #include "monge/engine.h"
-#include "monge/seaweed.h"
-#include "monge/steady_ant.h"
 #include "monge/steady_ant_simd.h"
 #include "monge/subperm.h"
+#include "oracles/distribution.h"
 #include "oracles/oracles.h"
+#include "oracles/steady_ant.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -23,14 +22,15 @@ using namespace monge;
 
 namespace {
 
-// Public API path (routes through the thread-local engine).
+// Perm-level API path on the thread-local engine (validation, output
+// allocation and Perm construction included).
 void BM_SeaweedMultiply(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   Rng rng(1);
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seaweed_multiply(a, b));
+    benchmark::DoNotOptimize(default_seaweed_engine().multiply(a, b));
   }
   state.SetComplexityN(n);
 }
@@ -106,8 +106,8 @@ BENCHMARK(BM_SeaweedEngineThreads)->DenseRange(1, 4)->UseRealTime();
 // ---------------------------------------------------------------------------
 // Batched engine leaf solves: one recursion level's worth of MPC leaves
 // (64 independent G-sized products) as a single multiply_batch_into call
-// vs 64 independent multiply_raw calls on an equally warm engine. The
-// batch pays one arena sizing and zero per-leaf output allocations.
+// vs 64 independent multiply_into calls on an equally warm engine. The
+// batch pays one arena sizing for all 64.
 // ---------------------------------------------------------------------------
 
 struct LeafBatch {
@@ -152,9 +152,8 @@ void BM_SeaweedEngineLeafBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SeaweedEngineLeafBatch)->Arg(64)->Arg(256)->Arg(1024);
 
-// N independent multiply_raw calls on a warm shared engine (the arena is
-// already sized; each call still pays its own size-cache lookup and output
-// allocation).
+// N independent multiply_into calls on a warm shared engine (the arena is
+// already sized; each call still pays its own budget computation).
 void BM_SeaweedEngineLeafSingles(benchmark::State& state) {
   const std::int64_t g = state.range(0);
   const std::int64_t pairs = 64;
@@ -163,16 +162,17 @@ void BM_SeaweedEngineLeafSingles(benchmark::State& state) {
   SeaweedEngine engine;
   for (auto _ : state) {
     for (std::int64_t t = 0; t < pairs; ++t) {
-      benchmark::DoNotOptimize(engine.multiply_raw(
-          batch.views[static_cast<std::size_t>(t)].first,
-          batch.views[static_cast<std::size_t>(t)].second));
+      const auto i = static_cast<std::size_t>(t);
+      engine.multiply_into(batch.views[i].first, batch.views[i].second,
+                           batch.outs[i]);
     }
+    benchmark::DoNotOptimize(batch.pc.data());
   }
   state.SetItemsProcessed(state.iterations() * pairs);
 }
 BENCHMARK(BM_SeaweedEngineLeafSingles)->Arg(64)->Arg(256)->Arg(1024);
 
-// N independent multiply_raw calls, each paying its own arena sizing (a
+// N independent multiply_into calls, each paying its own arena sizing (a
 // fresh engine per call: size-budget recursion, buffer allocation and
 // zeroing) — the per-leaf cost shape the batch API removes.
 void BM_SeaweedEngineLeafSinglesColdArena(benchmark::State& state) {
@@ -182,11 +182,12 @@ void BM_SeaweedEngineLeafSinglesColdArena(benchmark::State& state) {
   LeafBatch batch = make_leaf_batch(g, pairs, rng);
   for (auto _ : state) {
     for (std::int64_t t = 0; t < pairs; ++t) {
+      const auto i = static_cast<std::size_t>(t);
       SeaweedEngine engine;
-      benchmark::DoNotOptimize(engine.multiply_raw(
-          batch.views[static_cast<std::size_t>(t)].first,
-          batch.views[static_cast<std::size_t>(t)].second));
+      engine.multiply_into(batch.views[i].first, batch.views[i].second,
+                           batch.outs[i]);
     }
+    benchmark::DoNotOptimize(batch.pc.data());
   }
   state.SetItemsProcessed(state.iterations() * pairs);
 }

@@ -14,13 +14,13 @@
 // | Request            | kSequential                      | kMpcSim                          |
 // | ------------------ | -------------------------------- | -------------------------------- |
 // | Multiply kFull     | SeaweedEngine::multiply          | core::mpc_unit_monge_multiply    |
-// | Multiply kSubunit  | subunit_multiply                 | core::mpc_subunit_multiply       |
+// | Multiply kSubunit  | subunit_multiply(a, b, engine_)  | core::mpc_subunit_multiply       |
 // | Multiply batch     | multiply_batch_into /            | core::mpc_*_multiply_batch       |
 // |                    | subunit_multiply_batch_into      | (rounds shared per level)        |
 // | Lis length-only    | lis::lis_length (patience)       | lis::mpc_lis                     |
-// | Lis kernel         | lis::lis_kernel                  | lis::mpc_lis                     |
+// | Lis kernel         | lis::lis_kernel(perm, engine_)   | lis::mpc_lis                     |
 // | Lis windows        | kernel + kernel_window_lis_batch | mpc_lis kernel + same            |
-// | Lis batch (kernel) | lis::lis_kernel_batch            | per-request mpc_lis              |
+// | Lis batch (kernel) | lis_kernel_batch(perms, engine_) | per-request mpc_lis              |
 // | Lcs                | lcs::lcs_hs                      | lcs::mpc_lcs                     |
 // | BuildIndex         | SemiLocalIndex over lis_kernel   | SemiLocalIndex over mpc_lis      |
 // |                    |                                  | kernel (rounds reported)         |

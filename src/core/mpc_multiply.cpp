@@ -171,7 +171,7 @@ struct LineTask {
   std::vector<std::int64_t> totals;   // per color: #points
   // cmp[pair(q,r)] = first i with δ_{q,r}(i, pos) > 0 (size+1 if none).
   std::vector<std::int64_t> cmp;
-  monge::LineData data;  // assembled intervals (grid_anchors filled later)
+  monge::LineData data;  // assembled intervals
 };
 
 std::size_t pair_index(std::int32_t q, std::int32_t r, std::int64_t h) {
@@ -541,8 +541,8 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
     }
     // Pack every leaf into one contiguous buffer and hand the whole batch
     // to this worker thread's engine in ONE call: a single arena sizing
-    // and zero per-leaf heap allocations, instead of one multiply_raw
-    // (with its own output vector) per leaf. Machines still run
+    // and zero per-leaf heap allocations, instead of one engine call (with
+    // its own output vector) per leaf. Machines still run
     // concurrently on the cluster pool; within a machine the batch is
     // solved back-to-back (the thread-local engine is sequential).
     std::int64_t total = 0;

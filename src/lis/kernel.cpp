@@ -195,24 +195,10 @@ std::vector<std::vector<std::int32_t>> kernel_forest(
   return out;
 }
 
-void check_permutation(std::span<const std::int32_t> p) {
-  std::vector<bool> seen(p.size(), false);
-  for (std::int32_t v : p) {
-    MONGE_CHECK_MSG(v >= 0 && v < static_cast<std::int32_t>(p.size()) &&
-                        !seen[static_cast<std::size_t>(v)],
-                    "lis_kernel requires a permutation of [0, n)");
-    seen[static_cast<std::size_t>(v)] = true;
-  }
-}
-
 }  // namespace
 
-Perm lis_kernel(std::span<const std::int32_t> perm) {
-  return lis_kernel(perm, default_seaweed_engine());
-}
-
 Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine) {
-  check_permutation(perm);
+  check_full_permutation(perm, "lis_kernel");
   const std::vector<std::int32_t> p(perm.begin(), perm.end());
   auto kernels = kernel_forest({&p, 1}, engine);
   return Perm::from_rows(std::move(kernels[0]),
@@ -220,13 +206,8 @@ Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine) {
 }
 
 std::vector<Perm> lis_kernel_batch(
-    std::span<const std::vector<std::int32_t>> perms) {
-  return lis_kernel_batch(perms, default_seaweed_engine());
-}
-
-std::vector<Perm> lis_kernel_batch(
     std::span<const std::vector<std::int32_t>> perms, SeaweedEngine& engine) {
-  for (const auto& p : perms) check_permutation(p);
+  for (const auto& p : perms) check_full_permutation(p, "lis_kernel_batch");
   auto kernels = kernel_forest(perms, engine);
   std::vector<Perm> out;
   out.reserve(perms.size());
@@ -239,19 +220,6 @@ std::vector<Perm> lis_kernel_batch(
 
 std::int64_t lis_from_kernel(const Perm& kernel) {
   return kernel.rows() - kernel.point_count();
-}
-
-std::int64_t kernel_window_lis(const Perm& kernel, std::int64_t l,
-                               std::int64_t r) {
-  // Empty windows (l > r, including r == -1) are legitimate and answer 0.
-  if (l > r) return 0;
-  MONGE_CHECK(l >= 0 && r < kernel.rows());
-  std::int64_t count = 0;
-  for (std::int64_t row = l; row < kernel.rows(); ++row) {
-    const std::int32_t c = kernel.col_of(row);
-    count += (c != kNone && c < r + 1);
-  }
-  return (r - l + 1) - count;
 }
 
 std::vector<std::int64_t> kernel_window_lis_batch(

@@ -43,18 +43,12 @@ class SeaweedEngine;
 
 namespace monge::lis {
 
-/// Sequential kernel of a permutation (O(n log^2 n)). Level-order: one
-/// batched subunit-Monge product per merge level on the thread-local
-/// default SeaweedEngine. Bit-identical to the depth-first recursion.
-///
-/// @param perm a permutation of [0, n) (validated).
-/// @return the n×n kernel sub-permutation.
-Perm lis_kernel(std::span<const std::int32_t> perm);
-
-/// Same, but every merge level's batched subunit-Monge product runs on the
-/// caller-provided engine (reusing its arena, and striping the level across
-/// its thread pool if one is configured). Deterministic for every thread
-/// count.
+/// Sequential kernel of a permutation (O(n log^2 n)). Level-order: every
+/// merge level's batched subunit-Monge product runs on the caller-provided
+/// engine (reusing its arena, and striping the level across its thread pool
+/// if one is configured). Bit-identical to the depth-first recursion and
+/// deterministic for every thread count; default_seaweed_engine() is the
+/// thread-local engine for callers without one of their own.
 ///
 /// @param perm a permutation of [0, n) (validated).
 /// @param engine the engine every batched merge level runs on.
@@ -69,13 +63,6 @@ Perm lis_kernel(std::span<const std::int32_t> perm, SeaweedEngine& engine);
 /// lis_kernel for every thread count.
 ///
 /// @param perms one permutation of [0, n_i) per entry (each validated).
-/// @return one kernel per input, in input order.
-std::vector<Perm> lis_kernel_batch(
-    std::span<const std::vector<std::int32_t>> perms);
-
-/// Same, on a caller-provided engine.
-///
-/// @param perms one permutation of [0, n_i) per entry (each validated).
 /// @param engine the engine every batched merge level runs on.
 /// @return one kernel per input, in input order.
 std::vector<Perm> lis_kernel_batch(
@@ -86,16 +73,6 @@ std::vector<Perm> lis_kernel_batch(
 /// @param kernel a kernel built by lis_kernel / lis_kernel_batch.
 /// @return the LIS length of the underlying permutation.
 std::int64_t lis_from_kernel(const Perm& kernel);
-
-/// LIS(p[l..r]) from the kernel (O(n) scan).
-///
-/// @param kernel a kernel built by lis_kernel / lis_kernel_batch.
-/// @param l window start (inclusive).
-/// @param r window end (inclusive); l > r is a legitimate empty window and
-///     answers 0, even with endpoints outside [0, n).
-/// @return the LIS length of p[l..r].
-std::int64_t kernel_window_lis(const Perm& kernel, std::int64_t l,
-                               std::int64_t r);
 
 /// Offline batch of window queries in O((n + q) log n) via dominance
 /// counting (Fenwick sweep). The whole batch must be known up front; for

@@ -5,6 +5,7 @@
 #include "core/mpc_subperm.h"
 #include "lis/kernel.h"
 #include "lis/sequential.h"
+#include "monge/engine.h"
 #include "mpc/collectives.h"
 #include "mpc/dist_vector.h"
 #include "util/check.h"
@@ -120,7 +121,7 @@ MpcLisResult mpc_lis(Cluster& cluster, std::span<const std::int64_t> seq,
       local_perms.push_back(std::move(local_perm));
     }
     if (owned.empty()) return;
-    auto kernels = lis_kernel_batch(local_perms);
+    auto kernels = lis_kernel_batch(local_perms, default_seaweed_engine());
     for (std::size_t j = 0; j < owned.size(); ++j) {
       state[static_cast<std::size_t>(owned[j])].kernel = std::move(kernels[j]);
     }

@@ -9,26 +9,12 @@
 
 namespace monge {
 
-namespace {
-
-void check_full_permutation(std::span<const std::int32_t> p) {
-  const auto n = static_cast<std::int64_t>(p.size());
-  MONGE_CHECK_MSG(n <= std::numeric_limits<std::int32_t>::max(),
-                  "CoreSparsePerm: size " << n << " exceeds int32 indexing");
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  for (std::int64_t r = 0; r < n; ++r) {
-    const std::int32_t c = p[static_cast<std::size_t>(r)];
-    MONGE_CHECK_MSG(c >= 0 && c < n && !seen[static_cast<std::size_t>(c)],
-                    "CoreSparsePerm: not a full permutation (row "
-                        << r << " -> col " << c << ")");
-    seen[static_cast<std::size_t>(c)] = true;
-  }
-}
-
-}  // namespace
-
 CoreSparsePerm CoreSparsePerm::from_dense(std::span<const std::int32_t> p) {
-  check_full_permutation(p);
+  MONGE_CHECK_MSG(p.size() <= static_cast<std::size_t>(
+                                  std::numeric_limits<std::int32_t>::max()),
+                  "CoreSparsePerm: size " << p.size()
+                                          << " exceeds int32 indexing");
+  check_full_permutation(p, "CoreSparsePerm");
   CoreSparsePerm out;
   out.n_ = static_cast<std::int64_t>(p.size());
   for (std::int64_t r = 0; r < out.n_; ++r) {

@@ -164,8 +164,9 @@ Plan make_plan(const SeaweedEngineOptions& options,
 
 // ---------------------------------------------------------------------------
 // Base case: dense distribution-matrix (min,+) product, the arena version of
-// multiply_naive. O(n^3) arithmetic but branch-light and allocation-free,
-// which beats the recursion's per-node passes for small n.
+// the §2.1 definition PCΣ(i,k) = min_j PAΣ(i,j) + PBΣ(j,k). O(n^3)
+// arithmetic but branch-light and allocation-free, which beats the
+// recursion's per-node passes for small n.
 // ---------------------------------------------------------------------------
 
 /// dist(i, j) = #points with row >= i and col < j, row-major with stride w.
@@ -467,17 +468,6 @@ void solve_adaptive(std::span<const std::int32_t> a,
   mul_rec(a, b, out, arena, plan);
 }
 
-#ifndef NDEBUG
-void dcheck_full_permutation(std::span<const std::int32_t> p) {
-  const auto n = static_cast<std::int64_t>(p.size());
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  for (std::int32_t v : p) {
-    MONGE_DCHECK(v >= 0 && v < n && !seen[static_cast<std::size_t>(v)]);
-    seen[static_cast<std::size_t>(v)] = true;
-  }
-}
-#endif
-
 /// Solves batch entries [lo, hi), each in its pre-carved arena slice,
 /// forking recursively via invoke_two so the join work-helps (deadlock-free
 /// from pool workers, same as mul_rec's own forks). `solve(i)` runs entry i
@@ -539,22 +529,6 @@ void solve_batch(std::size_t count, const Plan& plan, ArenaSpanFn arena_span,
             [&](std::size_t i) { solve(i, arenas[i]); });
 }
 
-/// Shared allocating wrapper for the *_raw_batch twins: size one output
-/// vector per entry (`size_of(i)`), then run the into-variant over views.
-template <typename SizeFn, typename IntoFn>
-std::vector<std::vector<std::int32_t>> raw_batch(std::size_t count,
-                                                 SizeFn size_of, IntoFn into) {
-  std::vector<std::vector<std::int32_t>> out(count);
-  std::vector<std::span<std::int32_t>> views;
-  views.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].resize(size_of(i));
-    views.push_back(out[i]);
-  }
-  into(views);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // The §4.1 subunit reduction in arena scratch (compact both inputs, extend
 // to full n2×n2 permutations, core-solve over the padded-PA slot, read the
@@ -563,8 +537,10 @@ std::vector<std::vector<std::int32_t>> raw_batch(std::size_t count,
 // subunit_node_bytes and guarantees capacity.
 // ---------------------------------------------------------------------------
 
-std::size_t subunit_node_bytes(const Plan& plan, std::int64_t ra,
-                               std::int64_t n2, std::int64_t b_cols) {
+std::size_t subunit_node_bytes(const Plan& plan, const SubunitPairView& p) {
+  const auto ra = static_cast<std::int64_t>(p.a.size());
+  const auto n2 = static_cast<std::int64_t>(p.b.size());
+  const std::int64_t b_cols = p.b_cols;
   // Arena layout: the padded permutations and the surviving-row/column maps
   // persist across the core solve; the column-occupancy scratch is rewound
   // before it, so the budget takes the max of the two phases. There are at
@@ -581,9 +557,11 @@ std::size_t subunit_node_bytes(const Plan& plan, std::int64_t ra,
 }
 
 // monge-lint: hot
-void subunit_solve(PermView a, PermView b, std::int64_t b_cols,
-                   std::span<std::int32_t> out, Arena& arena,
-                   const Plan& plan) {
+void subunit_solve(const SubunitPairView& p, std::span<std::int32_t> out,
+                   Arena& arena, const Plan& plan) {
+  const PermView a = p.a;
+  const PermView b = p.b;
+  const std::int64_t b_cols = p.b_cols;
   const auto ra = static_cast<std::int64_t>(a.size());
   const auto n2 = static_cast<std::int64_t>(b.size());
   std::fill(out.begin(), out.end(), kNone);
@@ -673,12 +651,12 @@ void subunit_solve(PermView a, PermView b, std::int64_t b_cols,
   }
 }
 
-void check_subunit_shapes(PermView a, PermView b, std::int64_t b_cols,
+void check_subunit_shapes(const SubunitPairView& p,
                           std::span<const std::int32_t> out) {
-  MONGE_CHECK(out.size() == a.size() && b_cols >= 0);
-  check_size_limit(a.size(), "a.size()");
-  check_size_limit(b.size(), "b.size()");
-  check_size_limit(static_cast<std::size_t>(b_cols), "b_cols");
+  MONGE_CHECK(out.size() == p.a.size() && p.b_cols >= 0);
+  check_size_limit(p.a.size(), "a.size()");
+  check_size_limit(p.b.size(), "b.size()");
+  check_size_limit(static_cast<std::size_t>(p.b_cols), "b_cols");
 }
 
 }  // namespace
@@ -722,6 +700,9 @@ std::size_t SeaweedEngine::arena_bytes_for(std::int64_t n) const {
 }
 
 std::span<std::byte> SeaweedEngine::arena_span(std::size_t bytes) {
+  // Zero-byte budgets (n <= 1, empty subunit shapes) need no scratch, so
+  // they never allocate the buffer.
+  if (bytes == 0) return {};
   if (buffer_.size() < bytes + kAlign) {
     // The arena never carries state between calls, so grow without copying
     // the old scratch bytes.
@@ -736,22 +717,8 @@ std::span<std::byte> SeaweedEngine::arena_span(std::size_t bytes) {
 void SeaweedEngine::multiply_into(std::span<const std::int32_t> a,
                                   std::span<const std::int32_t> b,
                                   std::span<std::int32_t> out) {
-  MONGE_CHECK(a.size() == b.size() && out.size() == a.size());
-  check_size_limit(a.size(), "n");
-#ifndef NDEBUG
-  dcheck_full_permutation(a);
-  dcheck_full_permutation(b);
-#endif
-  const auto n = static_cast<std::int64_t>(a.size());
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = 0;
-    return;
-  }
-  const Plan plan = make_plan(options_, &rep_counters_);
-  const auto span = arena_span(plan.node_bytes(n));
-  Arena arena(span.data(), span.size());
-  solve_adaptive(a, b, out, arena, plan);
+  const PermPairView pair{a, b};
+  multiply_batch_into({&pair, 1}, {&out, 1});
 }
 
 void SeaweedEngine::multiply_batch_into(
@@ -767,8 +734,8 @@ void SeaweedEngine::multiply_batch_into(
                     outs[i].size() == pairs[i].first.size());
         check_size_limit(pairs[i].first.size(), "n");
 #ifndef NDEBUG
-        dcheck_full_permutation(pairs[i].first);
-        dcheck_full_permutation(pairs[i].second);
+        check_full_permutation(pairs[i].first, "SeaweedEngine");
+        check_full_permutation(pairs[i].second, "SeaweedEngine");
 #endif
         return plan.node_bytes(static_cast<std::int64_t>(pairs[i].first.size()));
       },
@@ -779,23 +746,33 @@ void SeaweedEngine::multiply_batch_into(
 
 std::vector<std::vector<std::int32_t>> SeaweedEngine::multiply_raw_batch(
     std::span<const PermPairView> pairs) {
-  return raw_batch(
-      pairs.size(), [&](std::size_t i) { return pairs[i].first.size(); },
-      [&](std::span<const std::span<std::int32_t>> views) {
-        multiply_batch_into(pairs, views);
-      });
+  std::vector<std::vector<std::int32_t>> out(pairs.size());
+  std::vector<std::span<std::int32_t>> views;
+  views.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    out[i].resize(pairs[i].first.size());
+    views.push_back(out[i]);
+  }
+  multiply_batch_into(pairs, views);
+  return out;
 }
 
 void SeaweedEngine::subunit_multiply_into(PermView a, PermView b,
                                           std::int64_t b_cols,
                                           std::span<std::int32_t> out) {
-  check_subunit_shapes(a, b, b_cols, out);
+  // A batch of one on the same skeleton as subunit_multiply_batch_into,
+  // minus the subunit_batch_calls() count.
+  const SubunitPairView pair{a, b, b_cols};
   const Plan plan = make_plan(options_, &rep_counters_);
-  const auto span = arena_span(
-      subunit_node_bytes(plan, static_cast<std::int64_t>(a.size()),
-                         static_cast<std::int64_t>(b.size()), b_cols));
-  Arena arena(span.data(), span.size());
-  subunit_solve(a, b, b_cols, out, arena, plan);
+  solve_batch(
+      1, plan, [this](std::size_t bytes) { return arena_span(bytes); },
+      [&](std::size_t) {
+        check_subunit_shapes(pair, out);
+        return subunit_node_bytes(plan, pair);
+      },
+      [&](std::size_t, Arena& arena) {
+        subunit_solve(pair, out, arena, plan);
+      });
 }
 
 void SeaweedEngine::subunit_multiply_batch_into(
@@ -808,15 +785,11 @@ void SeaweedEngine::subunit_multiply_batch_into(
         pairs.size(), plan,
         [this](std::size_t bytes) { return arena_span(bytes); },
         [&](std::size_t i) {
-          check_subunit_shapes(pairs[i].a, pairs[i].b, pairs[i].b_cols,
-                               outs[i]);
-          return subunit_node_bytes(
-              plan, static_cast<std::int64_t>(pairs[i].a.size()),
-              static_cast<std::int64_t>(pairs[i].b.size()), pairs[i].b_cols);
+          check_subunit_shapes(pairs[i], outs[i]);
+          return subunit_node_bytes(plan, pairs[i]);
         },
         [&](std::size_t i, Arena& arena) {
-          subunit_solve(pairs[i].a, pairs[i].b, pairs[i].b_cols, outs[i],
-                        arena, plan);
+          subunit_solve(pairs[i], outs[i], arena, plan);
         });
   }
   // Count completed calls only — a batch rejected by validation (or that
@@ -824,36 +797,14 @@ void SeaweedEngine::subunit_multiply_batch_into(
   ++subunit_batch_calls_;
 }
 
-std::vector<std::vector<std::int32_t>> SeaweedEngine::subunit_multiply_raw_batch(
-    std::span<const SubunitPairView> pairs) {
-  return raw_batch(
-      pairs.size(), [&](std::size_t i) { return pairs[i].a.size(); },
-      [&](std::span<const std::span<std::int32_t>> views) {
-        subunit_multiply_batch_into(pairs, views);
-      });
-}
-
-std::vector<std::int32_t> SeaweedEngine::subunit_multiply_raw(
-    PermView a, PermView b, std::int64_t b_cols) {
-  std::vector<std::int32_t> out(a.size());
-  subunit_multiply_into(a, b, b_cols, out);
-  return out;
-}
-
-std::vector<std::int32_t> SeaweedEngine::multiply_raw(
-    std::span<const std::int32_t> a, std::span<const std::int32_t> b) {
-  std::vector<std::int32_t> out(a.size());
-  multiply_into(a, b, out);
-  return out;
-}
-
 Perm SeaweedEngine::multiply(const Perm& a, const Perm& b) {
   MONGE_CHECK_MSG(a.is_full_permutation() && b.is_full_permutation(),
                   "SeaweedEngine::multiply requires full permutations (use "
                   "subunit_multiply for sub-permutations)");
   MONGE_CHECK(a.cols() == b.rows());
-  return Perm::from_rows(multiply_raw(a.row_to_col(), b.row_to_col()),
-                         b.cols());
+  std::vector<std::int32_t> out(a.row_to_col().size());
+  multiply_into(a.row_to_col(), b.row_to_col(), out);
+  return Perm::from_rows(std::move(out), b.cols());
 }
 
 SeaweedEngine& default_seaweed_engine() {

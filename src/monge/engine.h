@@ -1,11 +1,13 @@
 // Arena-backed sequential/parallel seaweed multiplication engine.
 //
 // SeaweedEngine runs Tiskin's divide-and-conquer unit-Monge multiplication
-// (the same split/compact/combine recursion as seaweed.h) over index ranges
-// into a flat scratch arena that is sized exactly once per top-level call:
-// after the first multiply of a given size the recursion performs zero heap
-// allocations. Below a configurable cutoff it switches to a dense
-// distribution-matrix base case (the arena version of multiply_naive), and
+// PC = PA ⊡ PB: split PA into column halves and PB into row halves (§3.1
+// with H = 2), compact empty rows/columns, recurse, re-expand, and combine
+// the two colored subresults with the steady ant, T(n) = 2 T(n/2) + O(n).
+// It runs over index ranges into a flat scratch arena that is sized
+// exactly once per top-level call: after the first multiply of a given
+// size the recursion performs zero heap allocations. Below a configurable
+// cutoff it switches to a dense distribution-matrix (min,+) base case, and
 // above a configurable grain size it forks the two independent lo/hi
 // subproblems onto a ThreadPool (fork-join with caller work-helping, so
 // nested forks cannot deadlock). The per-node combine is the steady-ant
@@ -39,7 +41,10 @@
 //   * pool — optional ThreadPool; nullptr means fully sequential. The
 //     engine never owns the pool.
 //
-// Beyond the single-pair entry points the engine offers
+// Six entry points, all on one batch skeleton (a single-pair call is a
+// batch of one):
+//   * multiply / multiply_into — one full-permutation product, on Perms or
+//     on raw row->col arrays,
 //   * multiply_raw_batch / multiply_batch_into — many independent products
 //     behind one arena sizing, solved back-to-back or striped across the
 //     pool (this is what the MPC simulator's machine-local leaf solve
@@ -47,10 +52,9 @@
 //   * subunit_multiply_into — the §4.1 sub-permutation reduction run
 //     directly on raw row->col arrays, with the compact/extend arithmetic
 //     in arena scratch instead of padded Perm temporaries, and
-//   * subunit_multiply_batch_into / subunit_multiply_raw_batch — the
-//     batched form of the subunit path (this is what the level-order LIS
-//     kernel uses: one engine call per merge level instead of one per
-//     merge).
+//   * subunit_multiply_batch_into — the batched form of the subunit path
+//     (this is what the level-order LIS kernel uses: one engine call per
+//     merge level instead of one per merge).
 //
 // Representation-adaptive dispatch: every entry point routes its recursion
 // nodes through a density probe (see core_density_cutoff below). Nodes
@@ -68,8 +72,7 @@
 //
 // An engine instance is NOT thread-safe (it owns one arena); use one
 // engine per thread. default_seaweed_engine() returns a thread-local
-// sequential instance whose arena is reused across calls — this is what
-// the seaweed_multiply_raw / subunit_multiply wrappers use.
+// sequential instance whose arena is reused across calls.
 #pragma once
 
 #include <atomic>
@@ -200,22 +203,14 @@ class SeaweedEngine {
   SeaweedEngine(const SeaweedEngine&) = delete;
   SeaweedEngine& operator=(const SeaweedEngine&) = delete;
 
-  /// PC = PA ⊡ PB on raw row->col index arrays; both inputs must be full
-  /// permutations of [0, n) (validated in debug builds only).
+  /// PC = PA ⊡ PB on raw row->col index arrays, written into `out`; both
+  /// inputs must be full permutations of [0, n) (validated in debug builds
+  /// only). A batch of one through multiply_batch_into.
   ///
   /// Deterministic: bit-identical to the textbook recursion for
   /// every input, every knob choice and every thread count. Reuses (and
-  /// possibly grows) the engine's arena; no other allocations after the
-  /// first call of a given size beyond the returned vector.
-  ///
-  /// @param a row->col array of PA (size n).
-  /// @param b row->col array of PB (size n).
-  /// @return row->col array of the product (size n).
-  std::vector<std::int32_t> multiply_raw(std::span<const std::int32_t> a,
-                                         std::span<const std::int32_t> b);
-
-  /// Allocation-free variant of multiply_raw: writes the product into
-  /// `out`. Same determinism and arena-reuse contract.
+  /// possibly grows) the engine's arena; no allocations after the first
+  /// call of a given size, and none at all for n <= 1.
   ///
   /// @param a row->col array of PA (size n).
   /// @param b row->col array of PB (size n).
@@ -225,7 +220,7 @@ class SeaweedEngine {
                      std::span<const std::int32_t> b,
                      std::span<std::int32_t> out);
 
-  /// Validating Perm wrapper around multiply_raw (full permutations only;
+  /// Validating Perm wrapper around multiply_into (full permutations only;
   /// use subunit_multiply / subunit_multiply_into for sub-permutations).
   ///
   /// @param a full permutation matrix PA.
@@ -238,7 +233,7 @@ class SeaweedEngine {
   /// when striped), then the pairs are solved back-to-back — or, when a
   /// ThreadPool is configured, striped across it via invoke_two fork-join
   /// (caller work-helping, so batches may be issued from pool workers).
-  /// Results are bit-identical to per-pair multiply_raw calls for every
+  /// Results are bit-identical to per-pair multiply_into calls for every
   /// thread count. Pairs may have mixed sizes, including 0 and 1.
   ///
   /// @param pairs the (PA_i, PB_i) inputs; each pair's views must have
@@ -281,15 +276,6 @@ class SeaweedEngine {
   void subunit_multiply_into(PermView a, PermView b, std::int64_t b_cols,
                              std::span<std::int32_t> out);
 
-  /// Allocating convenience wrapper around subunit_multiply_into.
-  ///
-  /// @param a row->col array of PA (kNone allowed).
-  /// @param b row->col array of PB (kNone allowed).
-  /// @param b_cols number of columns of PB; >= 0.
-  /// @return the product row->col array (size a.size(), kNone = empty row).
-  std::vector<std::int32_t> subunit_multiply_raw(PermView a, PermView b,
-                                                 std::int64_t b_cols);
-
   /// Batched subunit products PC_i = PA_i ⊡ PB_i, the §4.1 reduction for a
   /// whole batch behind ONE arena sizing — mirroring the multiply_batch_into
   /// contract. Sequentially the arena is sized once for the largest pair
@@ -312,13 +298,6 @@ class SeaweedEngine {
       std::span<const SubunitPairView> pairs,
       std::span<const std::span<std::int32_t>> outs);
 
-  /// Allocating convenience wrapper around subunit_multiply_batch_into.
-  ///
-  /// @param pairs the (PA_i, PB_i, b_cols_i) inputs.
-  /// @return one product row->col array per pair, in input order.
-  std::vector<std::vector<std::int32_t>> subunit_multiply_raw_batch(
-      std::span<const SubunitPairView> pairs);
-
   /// @return the engine's knobs, exactly as passed at construction (the
   ///     constructor validates instead of clamping, so the effective
   ///     values never differ from the requested ones).
@@ -326,8 +305,9 @@ class SeaweedEngine {
 
   /// Number of subunit_multiply_batch_into calls this engine has served
   /// to completion — calls that threw (validation or solve) are not
-  /// counted. One per LIS-kernel merge level; for tests asserting the
-  /// O(log n) call structure.
+  /// counted, and neither are single-pair subunit_multiply_into calls.
+  /// One per LIS-kernel merge level; for tests asserting the O(log n) call
+  /// structure.
   ///
   /// @return the lifetime completed batched-subunit call count.
   std::int64_t subunit_batch_calls() const { return subunit_batch_calls_; }
@@ -367,9 +347,8 @@ class SeaweedEngine {
   mutable detail::SeaweedRepCounters rep_counters_;
 };
 
-/// Thread-local sequential engine with a persistent arena; backs the
-/// seaweed_multiply_raw / subunit_multiply compatibility wrappers and the
-/// MPC simulator's machine-local solves.
+/// Thread-local sequential engine with a persistent arena; backs the MPC
+/// simulator's machine-local solves.
 ///
 /// @return the calling thread's engine (default options, no pool).
 SeaweedEngine& default_seaweed_engine();

@@ -18,21 +18,29 @@
 //     uniform opt value; interesting cells (Lemma 3.9) are added by the box
 //     solver.
 //
-// This module is pure sequential logic. The MPC algorithm (core/) reuses
-// LineData and solve_box and replaces the line sweeps by the O(1)-round
-// tree descent over batched rank queries.
+// This module holds the pieces the MPC algorithm (core/) runs: LineData and
+// solve_box. core/ computes the lines by an O(1)-round tree descent over
+// batched rank queries; the sequential line sweeps and the whole-grid
+// combine they are tested against live in tests/oracles.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "monge/delta.h"
 #include "monge/permutation.h"
 
 namespace monge {
 
-/// opt(·) along one grid line, compressed to intervals, plus anchors.
+/// One point of a colored union: color x in [0, H) is the subproblem the
+/// point came from (the paper's q ∈ [1, H], 0-based).
+struct ColoredPoint {
+  std::int64_t row = 0;
+  std::int64_t col = 0;
+  std::int32_t color = 0;
+  friend bool operator==(const ColoredPoint&, const ColoredPoint&) = default;
+};
+
+/// opt(·) along one grid line, compressed to intervals.
 struct LineData {
   /// Position of the line (a column for vertical lines, a row for
   /// horizontal ones), in [0, n].
@@ -41,22 +49,10 @@ struct LineData {
   /// start[0] == 0, starts strictly increasing, values strictly increasing.
   std::vector<std::int64_t> start;
   std::vector<std::int32_t> value;
-  /// For vertical lines only: delta_anchor[g][k-kmin] with kmin=0 here:
-  /// δ_{k,k+1}(gG, pos) for every grid row index g and every k in [0,H-1).
-  /// (O((n/G)·H) words per line.)
-  std::vector<std::vector<std::int64_t>> grid_anchors;
 
   /// opt at a coordinate t in [0, n].
   std::int32_t opt_at(std::int64_t t) const;
 };
-
-/// Sweeps F_q(i, col) over i for a vertical line (exact, O(nH)).
-/// grid_g > 0 also records δ anchors at multiples of grid_g.
-LineData sweep_vertical_line(const ColoredPointSet& s, std::int64_t col,
-                             std::int64_t grid_g);
-
-/// Sweeps F_q(row, j) over j for a horizontal line (exact, O(nH)).
-LineData sweep_horizontal_line(const ColoredPointSet& s, std::int64_t row);
 
 /// One crossed subgrid instance (§3.3). Lattice rows [r0, r1] and columns
 /// [c0, c1]; cells [r0,r1) × [c0,c1).
@@ -83,16 +79,5 @@ struct BoxResult {
 /// Solves one crossed box with the §3.3 frontier DP.
 /// O((r1-r0)(c1-c0)(kmax-kmin)) time, O(G + H) extra space.
 BoxResult solve_box(const BoxTask& task);
-
-struct MultiwayStats {
-  std::int64_t lines = 0;
-  std::int64_t crossed_boxes = 0;
-  std::int64_t interesting_points = 0;
-};
-
-/// Full sequential combine with grid spacing `box_g`; reference
-/// implementation for the distributed version. Requires a full union.
-Perm multiway_combine_seq(const ColoredPointSet& s, std::int64_t box_g,
-                          MultiwayStats* stats = nullptr);
 
 }  // namespace monge

@@ -125,6 +125,18 @@ bool Perm::is_full_permutation() const {
   return true;
 }
 
+void check_full_permutation(std::span<const std::int32_t> p, const char* who) {
+  const auto n = static_cast<std::int64_t>(p.size());
+  std::vector<bool> seen(p.size(), false);
+  for (std::int64_t r = 0; r < n; ++r) {
+    const std::int32_t c = p[static_cast<std::size_t>(r)];
+    MONGE_CHECK_MSG(c >= 0 && c < n && !seen[static_cast<std::size_t>(c)],
+                    who << ": not a permutation of [0, n) (row " << r
+                        << " -> col " << c << ")");
+    seen[static_cast<std::size_t>(c)] = true;
+  }
+}
+
 std::vector<Point> Perm::points() const {
   std::vector<Point> pts;
   pts.reserve(static_cast<std::size_t>(point_count()));

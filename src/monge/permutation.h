@@ -88,4 +88,9 @@ class Perm {
   std::int64_t cols_ = 0;
 };
 
+/// Throws std::logic_error unless `p` is a full permutation of
+/// [0, p.size()): every entry in range and no column repeated. The message
+/// starts with `who` (the caller's name) and names the first bad row.
+void check_full_permutation(std::span<const std::int32_t> p, const char* who);
+
 }  // namespace monge

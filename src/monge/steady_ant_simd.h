@@ -1,11 +1,12 @@
 // SIMD-friendly steady-ant combine with runtime ISA dispatch.
 //
-// The steady-ant walk (steady_ant.h) is the hot inner loop of every seaweed
-// product: the Lemma 3.9 combine runs once per node of the multiply
-// recursion, for every entry point of the SeaweedEngine. The scalar walk is
-// branch-heavy in two places — the data-dependent `while (delta > 0)`
-// descent, and the per-row resolution pass. The accelerated paths here
-// restructure both:
+// The steady-ant walk is the hot inner loop of every seaweed product: the
+// H = 2 combine of §3 (Lemmas 3.3/3.4 for the demarcation line t, Lemmas
+// 3.7–3.10 for the product's points) runs once per node of the multiply
+// recursion, for every entry point of the SeaweedEngine. The scalar walk
+// (SteadyAntIsa::kScalar) is branch-heavy in two places — the
+// data-dependent `while (delta > 0)` descent, and the per-row resolution
+// pass. The accelerated paths here restructure both:
 //
 //   * the descent advances in W-row blocks: one vector compare over the
 //     packed `row_pk` slab yields the Lemma 3.4 step bits for W rows at
@@ -21,8 +22,8 @@
 // Explicit SSE2 (W=4), AVX2 (W=8, hardware gathers) and NEON (W=4) kernels
 // are selected by runtime feature detection; compilation of each path is
 // gated by CMake (see MONGE_STEADY_ANT_ENABLE_* in CMakeLists.txt). Every
-// path is bit-identical to steady_ant_packed_scalar — `out`, `t` and
-// `col_pk` — for every input; the differential fuzz and pinned goldens in
+// path is bit-identical to the scalar walk — `out`, `t` and `col_pk` — for
+// every input; the differential fuzz and pinned goldens in
 // tests/test_steady_ant.cpp enforce this.
 //
 // Escape hatch: setting the MONGE_FORCE_SCALAR environment variable to a
@@ -54,10 +55,11 @@ std::span<const SteadyAntIsa> steady_ant_available_isas();
 SteadyAntIsa steady_ant_active_isa();
 
 /// The steady-ant combine on packed points, forced onto a specific ISA
-/// path (tests and A/B benchmarks). Contract and outputs are exactly
-/// steady_ant_packed_scalar's: `row_pk[r]` = (col << 1) | color of row r's
-/// point in the full n-point union; `col_pk` (size n) and `t` (size n + 1)
-/// are scratch, overwritten; `out` (size n) receives the combined
+/// path (tests and A/B benchmarks; kScalar is the reference walk every
+/// other path reproduces bit for bit). `row_pk[r]` = (col << 1) | color of
+/// row r's point in the full n-point union; `col_pk` (size n) and `t`
+/// (size n + 1) are scratch, overwritten with the column->row+color packs
+/// and the demarcation thresholds; `out` (size n) receives the combined
 /// product's row->col array. Degenerate shapes (n == 0, n == 1) are
 /// resolved by explicit early-outs before the ISA path is even consulted,
 /// so ISA kernels never see an empty span — and those shapes succeed for

@@ -5,10 +5,6 @@
 
 namespace monge {
 
-Perm subunit_multiply(const Perm& a, const Perm& b) {
-  return subunit_multiply(a, b, default_seaweed_engine());
-}
-
 Perm subunit_multiply(const Perm& a, const Perm& b, SeaweedEngine& engine) {
   MONGE_CHECK_MSG(a.cols() == b.rows(), "inner dimensions disagree: "
                                             << a.cols() << " vs " << b.rows());

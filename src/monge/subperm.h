@@ -33,19 +33,11 @@ namespace monge {
 class SeaweedEngine;
 
 /// PC = PA ⊡ PB for sub-permutations (Lemma 2.2 guarantees PC exists and is
-/// a sub-permutation). O((n2) log(n2)) on top of the compaction. Runs on
-/// the thread-local default SeaweedEngine (whose arena is reused across
-/// calls); deterministic — bit-identical to the padded reduction
-/// (subunit_pad_pair, one full multiply, subunit_unpad).
-///
-/// @param a sub-permutation PA (rA×n2).
-/// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().
-/// @return the product sub-permutation (rA×cB).
-Perm subunit_multiply(const Perm& a, const Perm& b);
-
-/// Same, but on a caller-provided engine (reusing its arena, and its thread
-/// pool if configured — results stay bit-identical for every thread
-/// count).
+/// a sub-permutation). O((n2) log(n2)) on top of the compaction, on a
+/// caller-provided engine (reusing its arena, and its thread pool if
+/// configured); deterministic — bit-identical to the padded reduction
+/// (subunit_pad_pair, one full multiply, subunit_unpad) for every thread
+/// count.
 ///
 /// @param a sub-permutation PA (rA×n2).
 /// @param b sub-permutation PB (n2×cB) with b.rows() == a.cols().

@@ -147,7 +147,7 @@ std::int64_t SemiLocalIndex::dominance_count(std::int64_t l,
 
 std::int64_t SemiLocalIndex::window_lis(std::int64_t l, std::int64_t r) const {
   // Empty windows (l > r, including r == -1) are legitimate and answer 0 —
-  // the same contract as lis::kernel_window_lis.
+  // the same contract as lis::kernel_window_lis_batch.
   if (l > r) return 0;
   MONGE_CHECK_MSG(l >= 0 && r < n_, "window [" << l << ", " << r
                                                << "] out of range for n="

@@ -20,8 +20,8 @@
 // The dominance count is served by a merge tree (a merge-sort tree over
 // the kernel rows, each node holding the sorted columns of its row range,
 // flattened into one contiguous pool): O(n log n) space built in
-// O(n log n), O(log² n) per query — against O(n) per query for the
-// kernel-scan kernel_window_lis, and a full kernel rebuild per request
+// O(n log n), O(log² n) per query — against O(n) per query for a scan of
+// the kernel rows, and a full kernel rebuild per request
 // for the pre-index Solver flow (bench/bench_query.cpp measures the gap).
 //
 // Substring-LCS rides the same structure. The Hunt–Szymanski match
@@ -122,8 +122,8 @@ class SemiLocalIndex {
                                         std::vector<std::int64_t> row_starts);
 
   /// LIS(seq[l..r]) in O(log² n) — bit-identical to
-  /// lis::kernel_window_lis on the same kernel (pinned against the
-  /// per-window patience oracle in tests/test_query.cpp).
+  /// lis::kernel_window_lis_batch on the same kernel (pinned against the
+  /// kernel-scan and per-window patience oracles in tests/test_query.cpp).
   ///
   /// @param l window start (inclusive).
   /// @param r window end (inclusive); l > r is a legitimate empty window

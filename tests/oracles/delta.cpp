@@ -1,4 +1,4 @@
-#include "monge/delta.h"
+#include "oracles/delta.h"
 
 #include <algorithm>
 

@@ -18,16 +18,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "monge/multiway.h"
 #include "monge/permutation.h"
 
 namespace monge {
-
-struct ColoredPoint {
-  std::int64_t row = 0;
-  std::int64_t col = 0;
-  std::int32_t color = 0;
-  friend bool operator==(const ColoredPoint&, const ColoredPoint&) = default;
-};
 
 /// A union of H sub-permutations on an n×n grid. For the combine steps of
 /// §3 the union is itself a full permutation (every row and column holds

@@ -4,8 +4,8 @@
 
 #include "lis/sequential.h"
 #include "monge/engine.h"
-#include "monge/steady_ant.h"
 #include "monge/subperm.h"
+#include "oracles/steady_ant.h"
 #include "util/check.h"
 
 namespace monge {
@@ -105,10 +105,7 @@ Perm subunit_multiply_padded(const Perm& a, const Perm& b,
   SubunitPadding info;
   const auto padded = subunit_pad_pair(a, b, info);
   if (info.empty) return Perm(info.out_rows, info.out_cols);
-  return subunit_unpad(
-      info, Perm::from_rows(engine.multiply_raw(padded.first.row_to_col(),
-                                                padded.second.row_to_col()),
-                            padded.first.cols()));
+  return subunit_unpad(info, engine.multiply(padded.first, padded.second));
 }
 
 }  // namespace monge
@@ -161,23 +158,32 @@ std::vector<std::int32_t> kernel_rec(const std::vector<std::int32_t>& p,
           hi_pos[static_cast<std::size_t>(k_hi[i])];
     }
   }
-  return engine.subunit_multiply_raw(a, b, n);
+  std::vector<std::int32_t> out(static_cast<std::size_t>(n));
+  engine.subunit_multiply_into(a, b, n, out);
+  return out;
 }
 
 }  // namespace
 
 Perm lis_kernel_reference(std::span<const std::int32_t> perm,
                           SeaweedEngine& engine) {
-  std::vector<bool> seen(perm.size(), false);
-  for (std::int32_t v : perm) {
-    MONGE_CHECK_MSG(v >= 0 && v < static_cast<std::int32_t>(perm.size()) &&
-                        !seen[static_cast<std::size_t>(v)],
-                    "lis_kernel_reference requires a permutation of [0, n)");
-    seen[static_cast<std::size_t>(v)] = true;
-  }
+  check_full_permutation(perm, "lis_kernel_reference");
   const std::vector<std::int32_t> p(perm.begin(), perm.end());
   return Perm::from_rows(kernel_rec(p, engine),
                          static_cast<std::int64_t>(perm.size()));
+}
+
+std::int64_t kernel_window_lis(const Perm& kernel, std::int64_t l,
+                               std::int64_t r) {
+  // Empty windows (l > r, including r == -1) are legitimate and answer 0.
+  if (l > r) return 0;
+  MONGE_CHECK(l >= 0 && r < kernel.rows());
+  std::int64_t count = 0;
+  for (std::int64_t row = l; row < kernel.rows(); ++row) {
+    const std::int32_t c = kernel.col_of(row);
+    count += (c != kNone && c < r + 1);
+  }
+  return (r - l + 1) - count;
 }
 
 std::int64_t lis_length_dp(std::span<const std::int64_t> seq) {

@@ -1,9 +1,14 @@
 // Reference oracles the production paths are differential-tested and
 // benchmarked against. They are slow on purpose — the textbook recursion,
-// the padded §4.1 reduction, the depth-first LIS kernel, DP and
-// per-window patience — and live here, in the test/bench-only
-// monge_oracles target, rather than in libmonge: nothing in the library
-// calls them. Each keeps the namespace of the production path it checks.
+// the padded §4.1 reduction, the depth-first LIS kernel, the per-window
+// kernel scan, DP and per-window patience — and live here, in the
+// test/bench-only monge_oracles target, rather than in libmonge: nothing in
+// the library calls them. Each keeps the namespace of the production path
+// it checks. The sibling headers hold the §2/§3 ground truth the engine's
+// building blocks are checked against: explicit distribution matrices
+// (distribution.h), the brute-force F/δ/opt quantities (delta.h), the
+// unpacked steady ant (steady_ant.h) and the sequential multi-way combine
+// (multiway_seq.h).
 #pragma once
 
 #include <cstdint>
@@ -50,6 +55,18 @@ namespace monge::lis {
 /// @return the n×n kernel sub-permutation.
 Perm lis_kernel_reference(std::span<const std::int32_t> perm,
                           SeaweedEngine& engine);
+
+/// LIS(p[l..r]) from the kernel by an O(n) scan of its rows;
+/// kernel_window_lis_batch answers a whole batch of windows in
+/// O((n + q) log n).
+///
+/// @param kernel a kernel built by lis_kernel / lis_kernel_batch.
+/// @param l window start (inclusive).
+/// @param r window end (inclusive); l > r is a legitimate empty window and
+///     answers 0, even with endpoints outside [0, n).
+/// @return the LIS length of p[l..r].
+std::int64_t kernel_window_lis(const Perm& kernel, std::int64_t l,
+                               std::int64_t r);
 
 /// O(n^2) DP for the length of the longest strictly increasing subsequence.
 std::int64_t lis_length_dp(std::span<const std::int64_t> seq);

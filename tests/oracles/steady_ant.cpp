@@ -1,4 +1,4 @@
-#include "monge/steady_ant.h"
+#include "oracles/steady_ant.h"
 
 #include <algorithm>
 
@@ -95,65 +95,6 @@ std::vector<std::int32_t> steady_ant_combine_raw(
     }
   }
   return out;
-}
-
-// monge-lint: hot
-void steady_ant_packed_scalar(std::span<const std::int32_t> row_pk,
-                              std::span<std::int32_t> col_pk,
-                              std::span<std::int32_t> t,
-                              std::span<std::int32_t> out) {
-  const auto n = static_cast<std::int64_t>(row_pk.size());
-  for (std::int64_t r = 0; r < n; ++r) {
-    const std::int32_t pk = row_pk[static_cast<std::size_t>(r)];
-    const std::int32_t c = pk >> 1;
-    MONGE_DCHECK(c >= 0 && c < n);
-    col_pk[static_cast<std::size_t>(c)] =
-        static_cast<std::int32_t>((r << 1) | (pk & 1));
-  }
-#ifndef NDEBUG
-  std::fill(out.begin(), out.end(), kNone);
-#endif
-  std::int64_t i = n;
-  std::int64_t delta = 0;
-  t[0] = static_cast<std::int32_t>(n);
-  for (std::int64_t j = 0; j < n; ++j) {
-    const std::int32_t pk = col_pk[static_cast<std::size_t>(j)];
-    const std::int32_t pr = pk >> 1;
-    delta += (pk & 1) == 0 ? (pr >= i ? 1 : 0) : (pr < i ? 1 : 0);
-    const std::int64_t prev = i;
-    while (delta > 0) {
-      MONGE_DCHECK(i > 0);
-      --i;
-      const std::int32_t qk = row_pk[static_cast<std::size_t>(i)];
-      const std::int32_t qc = qk >> 1;
-      delta -= (qk & 1) == 0 ? (qc >= j + 1 ? 1 : 0) : (qc < j + 1 ? 1 : 0);
-    }
-    t[static_cast<std::size_t>(j) + 1] = static_cast<std::int32_t>(i);
-    if (i < prev) {
-      // Interesting cell (Lemma 3.9): t drops strictly at column j.
-      MONGE_DCHECK(out[static_cast<std::size_t>(i)] == kNone);
-      out[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(j);
-    }
-  }
-  // Every other cell: PC(r,c) = PC,e(r,c) with e = opt(r+1, c+1).
-  for (std::int64_t r = 0; r < n; ++r) {
-    const std::int32_t pk = row_pk[static_cast<std::size_t>(r)];
-    const std::int64_t c = pk >> 1;
-    if (r == t[static_cast<std::size_t>(c) + 1] &&
-        r + 1 <= t[static_cast<std::size_t>(c)]) {
-      continue;  // interesting cell, already placed during the walk
-    }
-    const std::int32_t e = (r + 1 <= t[static_cast<std::size_t>(c) + 1]) ? 0 : 1;
-    if ((pk & 1) == e) {
-      MONGE_DCHECK(out[static_cast<std::size_t>(r)] == kNone);
-      out[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(c);
-    }
-  }
-#ifndef NDEBUG
-  for (std::int64_t r = 0; r < n; ++r) {
-    MONGE_DCHECK(out[static_cast<std::size_t>(r)] != kNone);
-  }
-#endif
 }
 
 Perm steady_ant_combine(const Perm& union_perm,

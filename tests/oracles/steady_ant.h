@@ -11,6 +11,11 @@
 // δ_{0,1}(i,j) <= 0 } from (n,0) to (t(n),n), using the 0/1 increment rules
 // proved in Lemmas 3.3/3.4, and reconstructs PC via the corner
 // characterisation of Lemmas 3.7–3.10.
+//
+// This is the unpacked, one-vector-per-call form: the textbook recursion in
+// oracles.h combines with it, and tests check it against the brute-force
+// opt table (delta.h). The engine runs the packed walk in
+// monge/steady_ant_simd.h instead.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +26,7 @@
 
 namespace monge {
 
-/// Raw variant used in hot recursions: `union_row_to_col[r]` is the column
+/// Raw variant on index arrays: `union_row_to_col[r]` is the column
 /// of row r's point, `row_color[r]` in {0,1} its owning subproblem. The
 /// union must be a full permutation (checked only in debug builds).
 std::vector<std::int32_t> steady_ant_combine_raw(
@@ -38,21 +43,5 @@ std::vector<std::int64_t> steady_ant_thresholds(
 /// Validating wrapper over steady_ant_combine_raw.
 Perm steady_ant_combine(const Perm& union_perm,
                         const std::vector<std::uint8_t>& row_color);
-
-/// The packed scalar combine — the SeaweedEngine's hot-loop contract and
-/// the differential oracle for the SIMD paths in steady_ant_simd.h.
-///
-/// Points are packed as (coord << 1) | color in one int32: `row_pk[r]`
-/// holds the column+color of row r's point. `col_pk` (size n) and `t`
-/// (size n + 1) are caller-provided scratch, overwritten with the
-/// column->row+color packs and the demarcation thresholds; `out[r]`
-/// receives the combined product's column of row r. This is the branchy
-/// reference walk (data-dependent descent, per-row resolution branch);
-/// every accelerated path must reproduce its `out`, `t` and `col_pk`
-/// bit-for-bit.
-void steady_ant_packed_scalar(std::span<const std::int32_t> row_pk,
-                              std::span<std::int32_t> col_pk,
-                              std::span<std::int32_t> t,
-                              std::span<std::int32_t> out);
 
 }  // namespace monge

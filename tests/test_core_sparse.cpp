@@ -241,7 +241,7 @@ TEST(CoreSparseMultiply, ExhaustiveSmallPermutations) {
         const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(pa),
                                               CoreSparsePerm::from_dense(pb),
                                               oracle_block_solver());
-        ASSERT_EQ(got.to_dense(), oracle_engine().multiply_raw(pa, pb))
+        ASSERT_EQ(got.to_dense(), testing::raw_product(oracle_engine(), pa, pb))
             << "n=" << n;
       }
     }
@@ -258,7 +258,7 @@ TEST(CoreSparseMultiply, MatchesDenseOracleFuzz) {
     const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
                                           CoreSparsePerm::from_dense(b),
                                           oracle_block_solver());
-    ASSERT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b))
+    ASSERT_EQ(got.to_dense(), testing::raw_product(oracle_engine(), a, b))
         << "n=" << a.size();
     ++cases;
   };
@@ -322,7 +322,7 @@ TEST(CoreSparseMultiply, DisjointCoresNeverPayADenseSolve) {
                                         CoreSparsePerm::from_dense(b),
                                         counting);
   EXPECT_EQ(dense_calls, 0);
-  EXPECT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got.to_dense(), testing::raw_product(oracle_engine(), a, b));
 }
 
 TEST(CoreSparseMultiply, InteractingClustersPayOneBlockEach) {
@@ -350,7 +350,7 @@ TEST(CoreSparseMultiply, InteractingClustersPayOneBlockEach) {
                                         counting);
   EXPECT_LE(dense_calls, 2);
   EXPECT_LE(max_block, 8u);
-  EXPECT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got.to_dense(), testing::raw_product(oracle_engine(), a, b));
 }
 
 TEST(CoreSparseMultiply, DefaultOverloadUsesTheThreadLocalEngine) {
@@ -359,7 +359,7 @@ TEST(CoreSparseMultiply, DefaultOverloadUsesTheThreadLocalEngine) {
   const auto b = rng.permutation(100);
   const auto got = core_sparse_multiply(CoreSparsePerm::from_dense(a),
                                         CoreSparsePerm::from_dense(b));
-  EXPECT_EQ(got.to_dense(), oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got.to_dense(), testing::raw_product(oracle_engine(), a, b));
 }
 
 TEST(CoreSparseMultiply, SizeMismatchThrows) {
@@ -402,9 +402,9 @@ TEST(CoreSparseEngine, AdaptiveMatchesDenseOracleFuzz) {
   SeaweedEngine shipped{};  // default knobs
   const auto check = [&](const std::vector<std::int32_t>& a,
                          const std::vector<std::int32_t>& b) {
-    const auto want = oracle_engine().multiply_raw(a, b);
-    ASSERT_EQ(aggressive.multiply_raw(a, b), want) << "n=" << a.size();
-    ASSERT_EQ(shipped.multiply_raw(a, b), want) << "n=" << a.size();
+    const auto want = testing::raw_product(oracle_engine(), a, b);
+    ASSERT_EQ(testing::raw_product(aggressive, a, b), want) << "n=" << a.size();
+    ASSERT_EQ(testing::raw_product(shipped, a, b), want) << "n=" << a.size();
     cases += 2;
   };
   for (const std::int64_t n : {2, 3, 8, 31, 64, 65, 128, 200, 256}) {
@@ -447,8 +447,8 @@ TEST(CoreSparseEngine, SubunitPathsMatchOracleAcrossDensities) {
                                 : rng.next_below(std::min(n2, bc) + 1);
     const auto a = Perm::random_sub(ra, n2, ka, rng).row_to_col();
     const auto b = Perm::random_sub(n2, bc, kb, rng).row_to_col();
-    EXPECT_EQ(adaptive.subunit_multiply_raw(a, b, bc),
-              oracle_engine().subunit_multiply_raw(a, b, bc))
+    EXPECT_EQ(testing::subunit_raw_product(adaptive, a, b, bc),
+              testing::subunit_raw_product(oracle_engine(), a, b, bc))
         << "ra=" << ra << " n2=" << n2 << " bc=" << bc;
     ++cases;
   }
@@ -458,8 +458,8 @@ TEST(CoreSparseEngine, SubunitPathsMatchOracleAcrossDensities) {
     const std::int64_t n = 80 + rng.next_below(80);
     auto a = near_identity_perm(n, 2, 6, rng);
     auto b = near_identity_perm(n, 2, 6, rng);
-    EXPECT_EQ(adaptive.subunit_multiply_raw(a, b, n),
-              oracle_engine().subunit_multiply_raw(a, b, n));
+    EXPECT_EQ(testing::subunit_raw_product(adaptive, a, b, n),
+              testing::subunit_raw_product(oracle_engine(), a, b, n));
     ++cases;
   }
   EXPECT_GE(cases, 160);
@@ -496,7 +496,8 @@ TEST(CoreSparseEngine, BatchEntryPointsMatchPerPairSolves) {
     ASSERT_EQ(got.size(), pairs.size());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(got[i],
-                oracle_engine().multiply_raw(pairs[i].first, pairs[i].second))
+                testing::raw_product(oracle_engine(), pairs[i].first,
+                                     pairs[i].second))
           << "pair " << i << " threads=" << threads;
     }
   }
@@ -511,15 +512,15 @@ TEST(CoreSparseEngine, CountersTrackDispatchDecisions) {
   const auto a = near_identity_perm(n, 3, 8, rng);
   const auto b = near_identity_perm(n, 3, 8, rng);
   const auto before = adaptive.representation_stats();
-  const auto got = adaptive.multiply_raw(a, b);
+  const auto got = testing::raw_product(adaptive, a, b);
   const auto delta = adaptive.representation_stats() - before;
-  EXPECT_EQ(got, oracle_engine().multiply_raw(a, b));
+  EXPECT_EQ(got, testing::raw_product(oracle_engine(), a, b));
   EXPECT_GT(delta.core_sparse_nodes, 0);
   EXPECT_GT(delta.blocks_copied + delta.blocks_dense, 0);
 
   // Dense random input: the probe must bail out at every node.
   const auto before_dense = adaptive.representation_stats();
-  adaptive.multiply_raw(rng.permutation(n), rng.permutation(n));
+  testing::raw_product(adaptive, rng.permutation(n), rng.permutation(n));
   const auto dense_delta = adaptive.representation_stats() - before_dense;
   EXPECT_GT(dense_delta.dense_nodes, 0);
   EXPECT_EQ(dense_delta.core_sparse_nodes, 0);
@@ -528,7 +529,7 @@ TEST(CoreSparseEngine, CountersTrackDispatchDecisions) {
 
   // cutoff 0 never probes, so it never counts.
   const auto oracle_before = oracle_engine().representation_stats();
-  oracle_engine().multiply_raw(a, b);
+  testing::raw_product(oracle_engine(), a, b);
   EXPECT_EQ(oracle_engine().representation_stats() - oracle_before,
             RepresentationStats{});
 }
@@ -551,7 +552,7 @@ TEST(CoreSparseEngine, ResultsAndCountersDeterministicUnderThreadCounts) {
 
   for (std::size_t input = 0; input < inputs.size(); ++input) {
     const auto& [a, b] = inputs[input];
-    const auto want = oracle_engine().multiply_raw(a, b);
+    const auto want = testing::raw_product(oracle_engine(), a, b);
     RepresentationStats first{};
     bool have_first = false;
     for (const int threads : {1, 2, 3, 4}) {
@@ -561,7 +562,7 @@ TEST(CoreSparseEngine, ResultsAndCountersDeterministicUnderThreadCounts) {
                             .core_density_cutoff = 0.25,
                             .core_probe_min_n = 64});
       const auto before = engine.representation_stats();
-      EXPECT_EQ(engine.multiply_raw(a, b), want)
+      EXPECT_EQ(testing::raw_product(engine, a, b), want)
           << "input=" << input << " threads=" << threads;
       const auto delta = engine.representation_stats() - before;
       if (!have_first) {
@@ -591,7 +592,8 @@ TEST(CoreSparseEngine, BlockBudgetCoversBlocksUpToTheBaseCaseCutoff) {
       SeaweedEngine engine({.base_case_cutoff = cutoff,
                             .core_density_cutoff = 0.25,
                             .core_probe_min_n = 2});
-      EXPECT_EQ(engine.multiply_raw(a, b), oracle.multiply_raw(a, b))
+      EXPECT_EQ(testing::raw_product(engine, a, b),
+                testing::raw_product(oracle, a, b))
           << "n=" << n << " block=" << block;
     }
   }
@@ -605,9 +607,9 @@ TEST(CoreSparseEngine, SubunitNearIdentityTakesTheBlockPath) {
   const auto a = near_identity_perm(n, 2, 6, rng);
   const auto b = near_identity_perm(n, 2, 6, rng);
   const auto before = adaptive.representation_stats();
-  const auto got = adaptive.subunit_multiply_raw(a, b, n);
+  const auto got = testing::subunit_raw_product(adaptive, a, b, n);
   const auto delta = adaptive.representation_stats() - before;
-  EXPECT_EQ(got, oracle_engine().subunit_multiply_raw(a, b, n));
+  EXPECT_EQ(got, testing::subunit_raw_product(oracle_engine(), a, b, n));
   EXPECT_GT(delta.core_sparse_nodes, 0)
       << "the padded subunit core solve should probe sparse";
 }

@@ -1,12 +1,12 @@
 // Property tests for the §3.1 machinery: Lemmas 3.1–3.10 exercised on real
 // decompositions of unit-Monge products.
-#include "monge/delta.h"
+#include "oracles/delta.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "monge/distribution.h"
+#include "oracles/distribution.h"
 #include "testing.h"
 #include "util/rng.h"
 

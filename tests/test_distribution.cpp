@@ -1,4 +1,4 @@
-#include "monge/distribution.h"
+#include "oracles/distribution.h"
 
 #include <gtest/gtest.h>
 

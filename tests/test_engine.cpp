@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "lis/kernel.h"
-#include "monge/distribution.h"
-#include "monge/seaweed.h"
 #include "monge/subperm.h"
+#include "oracles/distribution.h"
 #include "oracles/oracles.h"
 #include "testing.h"
 #include "util/rng.h"
@@ -49,7 +48,7 @@ TEST(SeaweedEngine, EquivalenceFuzzAcrossCutoffs) {
       for (int rep = 0; rep < 3; ++rep) {
         const auto a = random_raw_perm(n, rng);
         const auto b = random_raw_perm(n, rng);
-        const auto got = engine.multiply_raw(a, b);
+        const auto got = testing::raw_product(engine, a, b);
         const auto ref = seaweed_multiply_reference_raw(a, b);
         ASSERT_EQ(got, ref) << "n=" << n << " cutoff=" << cutoff;
         const Perm pa = Perm::from_rows(a, n);
@@ -67,17 +66,29 @@ TEST(SeaweedEngine, BitIdenticalToReferenceLargerSizes) {
   for (const std::int64_t n : {255, 256, 257, 777, 1024, 2048}) {
     const auto a = random_raw_perm(n, rng);
     const auto b = random_raw_perm(n, rng);
-    ASSERT_EQ(engine.multiply_raw(a, b), seaweed_multiply_reference_raw(a, b))
+    ASSERT_EQ(testing::raw_product(engine, a, b),
+              seaweed_multiply_reference_raw(a, b))
         << "n=" << n;
   }
 }
 
+// Sizes 0 and 1 need no scratch, so a fresh engine's arena stays empty; and
+// single-pair calls are batches of one internally but never count as
+// batched subunit calls.
 TEST(SeaweedEngine, EmptyAndTiny) {
   SeaweedEngine engine;
-  EXPECT_TRUE(engine.multiply_raw({}, {}).empty());
-  EXPECT_EQ(engine.multiply_raw(std::vector<std::int32_t>{0},
-                                std::vector<std::int32_t>{0}),
+  EXPECT_TRUE(testing::raw_product(engine, {}, {}).empty());
+  EXPECT_EQ(testing::raw_product(engine, std::vector<std::int32_t>{0},
+                                 std::vector<std::int32_t>{0}),
             (std::vector<std::int32_t>{0}));
+  EXPECT_EQ(engine.arena_capacity(), 0u);
+  const std::vector<std::int32_t> ident{0, 1};
+  EXPECT_EQ(testing::raw_product(engine, ident, ident), ident);
+  EXPECT_EQ(testing::subunit_raw_product(engine, ident, ident, 2), ident);
+  EXPECT_EQ(engine.subunit_batch_calls(), 0);
+  const std::vector<SubunitPairView> pairs{{ident, ident, 2}};
+  EXPECT_EQ(testing::subunit_raw_batch(engine, pairs).front(), ident);
+  EXPECT_EQ(engine.subunit_batch_calls(), 1);
 }
 
 // Knobs are validated at construction — out-of-range values throw instead
@@ -133,7 +144,7 @@ TEST(SeaweedEngine, RejectsOversizeInputs) {
   EXPECT_THROW(engine.subunit_multiply_batch_into(spairs, souts),
                std::logic_error);
   // The engine stays usable after a rejected call.
-  EXPECT_EQ(engine.subunit_multiply_raw(a, b, 2), a);
+  EXPECT_EQ(testing::subunit_raw_product(engine, a, b, 2), a);
 }
 
 // The arena is sized once: repeating a multiply of the same (or smaller)
@@ -143,17 +154,17 @@ TEST(SeaweedEngine, ArenaIsReusedAcrossCalls) {
   SeaweedEngine engine;
   const auto a = random_raw_perm(1024, rng);
   const auto b = random_raw_perm(1024, rng);
-  const auto first = engine.multiply_raw(a, b);
+  const auto first = testing::raw_product(engine, a, b);
   const std::size_t cap = engine.arena_capacity();
   EXPECT_GE(cap, engine.arena_bytes_for(1024));
   for (const std::int64_t n : {1024, 512, 100}) {
     const auto pa = random_raw_perm(n, rng);
     const auto pb = random_raw_perm(n, rng);
-    ASSERT_EQ(engine.multiply_raw(pa, pb),
+    ASSERT_EQ(testing::raw_product(engine, pa, pb),
               seaweed_multiply_reference_raw(pa, pb));
   }
   EXPECT_EQ(engine.arena_capacity(), cap);
-  EXPECT_EQ(engine.multiply_raw(a, b), first);
+  EXPECT_EQ(testing::raw_product(engine, a, b), first);
 }
 
 TEST(SeaweedEngine, MultiplyIntoWritesCallerBuffer) {
@@ -180,10 +191,10 @@ TEST(SeaweedEngine, DeterministicUnderThreadCounts) {
     for (const std::int64_t grain : {64, 256, 1024}) {
       SeaweedEngine engine(
           {.parallel_grain = grain, .pool = &pool});
-      ASSERT_EQ(engine.multiply_raw(a, b), ref)
+      ASSERT_EQ(testing::raw_product(engine, a, b), ref)
           << "threads=" << threads << " grain=" << grain;
       // Repeat on the warm arena: still identical.
-      ASSERT_EQ(engine.multiply_raw(a, b), ref)
+      ASSERT_EQ(testing::raw_product(engine, a, b), ref)
           << "threads=" << threads << " grain=" << grain;
     }
   }
@@ -248,7 +259,7 @@ TEST(SeaweedEngineBatch, MatchesPerPairMultiplyFuzz) {
     const auto got = batch_engine.multiply_raw_batch(views);
     ASSERT_EQ(got.size(), as.size());
     for (std::size_t t = 0; t < as.size(); ++t) {
-      ASSERT_EQ(got[t], single_engine.multiply_raw(as[t], bs[t]))
+      ASSERT_EQ(got[t], testing::raw_product(single_engine, as[t], bs[t]))
           << "round=" << round << " pair=" << t << " n=" << as[t].size();
       ++cases;
     }
@@ -388,11 +399,11 @@ TEST(SeaweedEngineSubunitBatch, MatchesPerCallFuzz) {
       push_random_subunit_pair(in, rng);
     }
     finalize_views(in);
-    const auto got = batch_engine.subunit_multiply_raw_batch(in.views);
+    const auto got = testing::subunit_raw_batch(batch_engine, in.views);
     ASSERT_EQ(got.size(), in.as.size());
     for (std::size_t t = 0; t < in.as.size(); ++t) {
-      ASSERT_EQ(got[t], single_engine.subunit_multiply_raw(in.as[t], in.bs[t],
-                                                           in.b_cols[t]))
+      ASSERT_EQ(got[t], testing::subunit_raw_product(single_engine, in.as[t],
+                                                     in.bs[t], in.b_cols[t]))
           << "round=" << round << " pair=" << t << " ra=" << in.as[t].size()
           << " n2=" << in.bs[t].size() << " cb=" << in.b_cols[t];
       ++cases;
@@ -409,22 +420,22 @@ TEST(SeaweedEngineSubunitBatch, StripedAcrossPoolMatchesSequential) {
   for (int t = 0; t < 24; ++t) push_random_subunit_pair(in, rng);
   finalize_views(in);
   SeaweedEngine sequential;
-  const auto expect = sequential.subunit_multiply_raw_batch(in.views);
+  const auto expect = testing::subunit_raw_batch(sequential, in.views);
   for (const unsigned threads : {2u, 3u, 4u}) {
     ThreadPool pool(threads);
     // A tiny grain also forces forking inside the larger core solves,
     // nesting invoke_two under the batch fork-join.
     SeaweedEngine striped({.parallel_grain = 32, .pool = &pool});
-    ASSERT_EQ(striped.subunit_multiply_raw_batch(in.views), expect)
+    ASSERT_EQ(testing::subunit_raw_batch(striped, in.views), expect)
         << "threads=" << threads;
-    ASSERT_EQ(striped.subunit_multiply_raw_batch(in.views), expect)
+    ASSERT_EQ(testing::subunit_raw_batch(striped, in.views), expect)
         << "threads=" << threads << " (warm arena)";
   }
 }
 
 TEST(SeaweedEngineSubunitBatch, EmptyBatchAndDegeneratePairs) {
   SeaweedEngine engine;
-  EXPECT_TRUE(engine.subunit_multiply_raw_batch({}).empty());
+  EXPECT_TRUE(testing::subunit_raw_batch(engine, {}).empty());
   const std::vector<std::int32_t> empty;
   const std::vector<std::int32_t> none_row{kNone, kNone};
   const std::vector<std::int32_t> ident{0, 1};
@@ -434,7 +445,7 @@ TEST(SeaweedEngineSubunitBatch, EmptyBatchAndDegeneratePairs) {
       {ident, none_row, 2},   // all rows of B empty
       {ident, ident, 2},      // tiny identity product
   };
-  const auto got = engine.subunit_multiply_raw_batch(views);
+  const auto got = testing::subunit_raw_batch(engine, views);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_TRUE(got[0].empty());
   EXPECT_EQ(got[1], none_row);
@@ -450,9 +461,9 @@ TEST(SeaweedEngineSubunitBatch, ArenaSizedOnceForWholeBatch) {
   SubunitBatchInputs in;
   for (int t = 0; t < 12; ++t) push_random_subunit_pair(in, rng);
   finalize_views(in);
-  const auto first = engine.subunit_multiply_raw_batch(in.views);
+  const auto first = testing::subunit_raw_batch(engine, in.views);
   const std::size_t cap = engine.arena_capacity();
-  EXPECT_EQ(engine.subunit_multiply_raw_batch(in.views), first);
+  EXPECT_EQ(testing::subunit_raw_batch(engine, in.views), first);
   EXPECT_EQ(engine.arena_capacity(), cap);
 }
 
@@ -470,7 +481,8 @@ TEST(SeaweedEngine, LisKernelOverload) {
   Rng rng(123);
   SeaweedEngine engine;
   const auto p = rng.permutation(200);
-  EXPECT_EQ(lis::lis_kernel(p, engine), lis::lis_kernel(p));
+  EXPECT_EQ(lis::lis_kernel(p, engine),
+            lis::lis_kernel(p, default_seaweed_engine()));
 }
 
 }  // namespace

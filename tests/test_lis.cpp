@@ -54,7 +54,7 @@ TEST(LisKernel, ExhaustiveSmallPermutations) {
   for (int n = 1; n <= 7; ++n) {
     const auto perms = testing::all_permutations(n);
     for (const auto& p : perms) {
-      const Perm kernel = lis_kernel(p);
+      const Perm kernel = lis_kernel(p, default_seaweed_engine());
       const auto seq = to64(p);
       for (std::int64_t l = 0; l < n; ++l) {
         for (std::int64_t r = l; r < n; ++r) {
@@ -79,7 +79,8 @@ TEST(LisWindow, EmptyWindowsAnswerZero) {
   EXPECT_EQ(lis_window(seq, 5, 4), 0);
   EXPECT_THROW(lis_window(seq, 1, 3), std::logic_error);  // non-empty, OOB
 
-  const Perm kernel = lis_kernel(std::vector<std::int32_t>{2, 0, 1});
+  const Perm kernel =
+      lis_kernel(std::vector<std::int32_t>{2, 0, 1}, default_seaweed_engine());
   EXPECT_EQ(kernel_window_lis(kernel, 0, -1), 0);
   EXPECT_EQ(kernel_window_lis(kernel, 5, 4), 0);
   const std::vector<std::pair<std::int64_t, std::int64_t>> windows = {
@@ -95,7 +96,7 @@ class KernelRandom : public ::testing::TestWithParam<std::int64_t> {};
 TEST_P(KernelRandom, WindowsMatchOracle) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const auto p = rng.permutation(GetParam());
-  const Perm kernel = lis_kernel(p);
+  const Perm kernel = lis_kernel(p, default_seaweed_engine());
   const auto seq = to64(p);
   EXPECT_EQ(lis_from_kernel(kernel), lis_length(seq));
   std::vector<std::pair<std::int64_t, std::int64_t>> windows;
@@ -126,7 +127,8 @@ TEST(LisKernelStress, WindowBatchMatchesSequentialOracle) {
     const std::int64_t n = rng.next_in(1, 200);
     std::vector<std::int64_t> seq(static_cast<std::size_t>(n));
     for (auto& x : seq) x = rng.next_in(-8, 8);
-    const Perm kernel = lis_kernel(rank_reduce_strict(seq));
+    const Perm kernel =
+        lis_kernel(rank_reduce_strict(seq), default_seaweed_engine());
     std::vector<std::pair<std::int64_t, std::int64_t>> windows;
     for (int q = 0; q < 30; ++q) {
       const std::int64_t l = rng.next_in(0, n - 1);
@@ -194,7 +196,7 @@ TEST(LisKernelLevelOrder, PinnedGoldens) {
         62, 60, 59, 52, 53, 56, 55, -1, 57, 58, -1, -1, 61, -1, -1, -1}},
   };
   for (std::size_t g = 0; g < goldens.size(); ++g) {
-    const Perm got = lis_kernel(goldens[g].perm);
+    const Perm got = lis_kernel(goldens[g].perm, default_seaweed_engine());
     const Perm want = Perm::from_rows(
         goldens[g].kernel, static_cast<std::int64_t>(goldens[g].perm.size()));
     ASSERT_EQ(got, want) << "golden " << g;
@@ -253,12 +255,13 @@ TEST(LisKernelLevelOrder, BatchMatchesPerInput) {
   for (const std::int64_t n : {17, 0, 1, 64, 5, 33, 128, 2, 0, 90}) {
     perms.push_back(rng.permutation(n));
   }
-  const auto batch = lis_kernel_batch(perms);
+  const auto batch = lis_kernel_batch(perms, default_seaweed_engine());
   ASSERT_EQ(batch.size(), perms.size());
   for (std::size_t t = 0; t < perms.size(); ++t) {
-    ASSERT_EQ(batch[t], lis_kernel(perms[t])) << "input " << t;
+    ASSERT_EQ(batch[t], lis_kernel(perms[t], default_seaweed_engine()))
+        << "input " << t;
   }
-  EXPECT_TRUE(lis_kernel_batch({}).empty());
+  EXPECT_TRUE(lis_kernel_batch({}, default_seaweed_engine()).empty());
   for (const unsigned threads : {2u, 4u}) {
     ThreadPool pool(threads);
     SeaweedEngine striped({.parallel_grain = 64, .pool = &pool});
@@ -273,8 +276,9 @@ TEST(LisKernel, SortedAndReversedExtremes) {
     sorted[static_cast<std::size_t>(i)] = i;
     rev[static_cast<std::size_t>(i)] = 49 - i;
   }
-  EXPECT_EQ(lis_kernel(sorted).point_count(), 0);  // LIS = n everywhere
-  EXPECT_EQ(lis_from_kernel(lis_kernel(rev)), 1);
+  // LIS = n everywhere.
+  EXPECT_EQ(lis_kernel(sorted, default_seaweed_engine()).point_count(), 0);
+  EXPECT_EQ(lis_from_kernel(lis_kernel(rev, default_seaweed_engine())), 1);
 }
 
 mpc::MpcConfig cfg_of(std::int64_t machines) {

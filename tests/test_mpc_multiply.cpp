@@ -7,9 +7,9 @@
 #include <string>
 
 #include "core/mpc_subperm.h"
-#include "monge/distribution.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "monge/subperm.h"
+#include "oracles/distribution.h"
 #include "util/rng.h"
 
 namespace monge::core {
@@ -45,7 +45,7 @@ TEST_P(MpcMulSweep, MatchesSeaweed) {
     const Perm b = Perm::random(p.n, rng);
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b))
+    ASSERT_EQ(got, default_seaweed_engine().multiply(a, b))
         << "n=" << p.n << " m=" << p.m << " h=" << p.h;
     EXPECT_GT(rep.rounds, 0);
   }
@@ -96,7 +96,8 @@ TEST(MpcMultiply, DefaultScheduleOnFullyScalableCluster) {
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(
         cluster, a, b, paper_profile(n, cluster), &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b)) << "delta=" << delta;
+    ASSERT_EQ(got, default_seaweed_engine().multiply(a, b))
+        << "delta=" << delta;
   }
 }
 
@@ -116,7 +117,8 @@ TEST(MpcMultiply, BatchSharesRounds) {
       mpc_unit_monge_multiply_batch(cluster, pairs, opt, &rep_batch);
   ASSERT_EQ(got.size(), pairs.size());
   for (std::size_t t = 0; t < pairs.size(); ++t) {
-    ASSERT_EQ(got[t], seaweed_multiply(pairs[t].first, pairs[t].second))
+    ASSERT_EQ(got[t], default_seaweed_engine().multiply(pairs[t].first,
+                                                        pairs[t].second))
         << "pair " << t;
   }
   // One batched call must cost far fewer rounds than six sequential calls.
@@ -136,7 +138,7 @@ TEST(MpcMultiply, WarmupProfileCostsMoreRoundsThanPaper) {
   Rng rng(5);
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
-  const Perm expect = seaweed_multiply(a, b);
+  const Perm expect = default_seaweed_engine().multiply(a, b);
 
   MpcMultiplyOptions paper;  // H-way split and flattened tree
   paper.split_h = 8;
@@ -189,7 +191,8 @@ TEST(MpcMultiply, ReportInvariantsPinnedAcrossLeafBatching) {
     opt.tree_fanout = g.fanout;
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b)) << "h=" << g.h << " f=" << g.fanout;
+    ASSERT_EQ(got, default_seaweed_engine().multiply(a, b))
+        << "h=" << g.h << " f=" << g.fanout;
     EXPECT_EQ(rep.rounds, g.rounds) << "h=" << g.h << " f=" << g.fanout;
     EXPECT_EQ(rep.levels, g.levels) << "h=" << g.h << " f=" << g.fanout;
     EXPECT_EQ(rep.box_g, 32) << "h=" << g.h << " f=" << g.fanout;
@@ -218,7 +221,8 @@ TEST(MpcMultiply, PresetProfilesUnchangedByLeafBatching) {
     const Perm b = Perm::random(n, rng);
     MpcMultiplyReport rep;
     const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, seaweed_multiply(a, b)) << "preset " << which;
+    ASSERT_EQ(got, default_seaweed_engine().multiply(a, b))
+        << "preset " << which;
     EXPECT_EQ(rep.split_h, 2) << "preset " << which;
     EXPECT_EQ(rep.tree_fanout, 2) << "preset " << which;
     EXPECT_EQ(rep.rounds, 3033) << "preset " << which;
@@ -259,7 +263,7 @@ TEST_P(MpcSubSweep, MatchesSequentialSubunit) {
     opt.split_h = 2;
     opt.box_g = 8;
     ASSERT_EQ(mpc_subunit_multiply(cluster, a, b, opt),
-              subunit_multiply(a, b));
+              subunit_multiply(a, b, default_seaweed_engine()));
   }
 }
 
@@ -295,7 +299,8 @@ TEST(MpcSubunit, BatchMixedShapes) {
   const auto got = mpc_subunit_multiply_batch(cluster, pairs);
   ASSERT_EQ(got.size(), 3u);
   for (std::size_t t = 0; t < 3; ++t) {
-    ASSERT_EQ(got[t], subunit_multiply(pairs[t].first, pairs[t].second));
+    ASSERT_EQ(got[t], subunit_multiply(pairs[t].first, pairs[t].second,
+                                       default_seaweed_engine()));
   }
 }
 
@@ -310,7 +315,7 @@ TEST(MpcMultiply, StrictSpaceComplianceAtPaperSchedule) {
   EXPECT_NO_THROW({
     const Perm got = mpc_unit_monge_multiply(cluster, a, b,
                                              paper_profile(n, cluster));
-    EXPECT_EQ(got, seaweed_multiply(a, b));
+    EXPECT_EQ(got, default_seaweed_engine().multiply(a, b));
   });
 }
 

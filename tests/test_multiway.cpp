@@ -5,8 +5,9 @@
 
 #include <string>
 
-#include "monge/distribution.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
+#include "oracles/distribution.h"
+#include "oracles/multiway_seq.h"
 #include "testing.h"
 #include "util/rng.h"
 
@@ -51,7 +52,7 @@ TEST(LineSweep, AnchorsMatchBruteForceDeltas) {
   const ColoredPointSet s = make_colored_split(a, b, 5);
   const std::int64_t g = 4;
   for (std::int64_t col : {0L, 4L, 13L, 20L}) {
-    const LineData line = sweep_vertical_line(s, col, g);
+    const SweptLine line = sweep_vertical_line(s, col, g);
     for (std::int64_t gi = 0; gi <= n / g; ++gi) {
       for (std::int32_t k = 0; k + 1 < s.num_colors(); ++k) {
         ASSERT_EQ(line.grid_anchors[static_cast<std::size_t>(gi)]
@@ -144,7 +145,8 @@ TEST(Multiway, AgreesWithSeaweedOnLargerInputs) {
     // make_colored_split uses the naive oracle internally — too slow at
     // n=256? (256^3 = 16M — fine.)
     const ColoredPointSet s = make_colored_split(a, b, h);
-    ASSERT_EQ(multiway_combine_seq(s, 32), seaweed_multiply(a, b))
+    ASSERT_EQ(multiway_combine_seq(s, 32),
+              default_seaweed_engine().multiply(a, b))
         << "h=" << h;
   }
 }

@@ -175,7 +175,8 @@ TEST(SemiLocalIndex, WindowFuzzAgainstPatienceOracleAllFamilies) {
             << windows[q].first << ", " << windows[q].second << "]";
       }
       // The offline kernel sweep answers the same batch identically.
-      const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+      const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq),
+                                          default_seaweed_engine());
       EXPECT_EQ(lis::kernel_window_lis_batch(kernel, windows), want)
           << family.name << " seed=" << seed;
     }
@@ -190,7 +191,8 @@ TEST(SemiLocalIndex, LargeWindowFuzzAgainstKernelSweep) {
   for (const Family& family : kFamilies) {
     Rng rng(1234);
     const auto seq = family.make(kN, rng);
-    const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+    const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq),
+                                        default_seaweed_engine());
     const SemiLocalIndex index = SemiLocalIndex::from_kernel(kernel);
     const Windows windows = fuzz_windows(kN, 2000, rng);
     EXPECT_EQ(index.window_lis_batch(windows),
@@ -237,7 +239,8 @@ TEST(SemiLocalIndex, EmptyAndSingletonSequences) {
 TEST(SemiLocalIndex, MatchesKernelWindowLisPointwise) {
   Rng rng(7);
   const auto seq = family_random(129, rng);
-  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(seq),
+                                      default_seaweed_engine());
   const SemiLocalIndex index = SemiLocalIndex::from_kernel(kernel);
   for (std::int64_t l = 0; l < 129; l += 7) {
     for (std::int64_t r = l; r < 129; r += 5) {
@@ -335,7 +338,8 @@ TEST(SemiLocalIndex, SubstringLcsDegenerateAndModeErrors) {
   EXPECT_THROW(lis_index.substring_lcs(0, 3), std::logic_error);
 
   // from_lcs_kernel validates the row-start table shape.
-  const Perm kernel = lis::lis_kernel(lis::rank_reduce_strict(s));
+  const Perm kernel =
+      lis::lis_kernel(lis::rank_reduce_strict(s), default_seaweed_engine());
   EXPECT_THROW(SemiLocalIndex::from_lcs_kernel(kernel, {}), std::logic_error);
   EXPECT_THROW(SemiLocalIndex::from_lcs_kernel(kernel, {0, 3}),
                std::logic_error);

@@ -17,7 +17,7 @@
 #include "lis/kernel.h"
 #include "lis/mpc_lis.h"
 #include "lis/sequential.h"
-#include "monge/seaweed.h"
+#include "monge/engine.h"
 #include "monge/subperm.h"
 #include "oracles/oracles.h"
 #include "util/rng.h"
@@ -116,13 +116,17 @@ TEST(SolverMultiply, SequentialBitIdenticalToDirectCalls) {
   Solver solver;
   for (const std::int64_t n : {1, 2, 3, 5, 16, 33, 64, 257}) {
     const MultiplyRequest full{Perm::random(n, rng), Perm::random(n, rng)};
-    EXPECT_EQ(solver.solve(full).c, seaweed_multiply(full.a, full.b)) << n;
+    EXPECT_EQ(solver.solve(full).c,
+              default_seaweed_engine().multiply(full.a, full.b))
+        << n;
 
     const MultiplyRequest sub{
         Perm::random_sub(n, n, n / 2, rng),
         Perm::random_sub(n, (3 * n) / 2, n / 2, rng),
         MultiplyRequest::Kind::kSubunit};
-    EXPECT_EQ(solver.solve(sub).c, subunit_multiply(sub.a, sub.b)) << n;
+    EXPECT_EQ(solver.solve(sub).c,
+              subunit_multiply(sub.a, sub.b, default_seaweed_engine()))
+        << n;
   }
 }
 
@@ -142,9 +146,10 @@ TEST(SolverMultiply, SequentialBatchBitIdenticalAndOneEngineCallPerKind) {
   EXPECT_EQ(solver.engine().subunit_batch_calls(), sub_calls_before + 1);
   ASSERT_EQ(results.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SeaweedEngine& engine = default_seaweed_engine();
     const Perm direct = reqs[i].kind == MultiplyRequest::Kind::kFull
-                            ? seaweed_multiply(reqs[i].a, reqs[i].b)
-                            : subunit_multiply(reqs[i].a, reqs[i].b);
+                            ? engine.multiply(reqs[i].a, reqs[i].b)
+                            : subunit_multiply(reqs[i].a, reqs[i].b, engine);
     EXPECT_EQ(results[i].c, direct) << i;
   }
 }
@@ -242,7 +247,8 @@ TEST(SolverLis, SequentialRoutesBitIdenticalToDirectCalls) {
 
     // Kernel route: rank reduction + the level-order kernel builder.
     const auto kres = solver.solve(LisRequest{.seq = seq, .want_kernel = true});
-    const Perm direct_kernel = lis::lis_kernel(lis::rank_reduce_strict(seq));
+    const Perm direct_kernel = lis::lis_kernel(lis::rank_reduce_strict(seq),
+                                               default_seaweed_engine());
     EXPECT_EQ(kres.kernel, direct_kernel);
     EXPECT_EQ(kres.lis, lis::lis_from_kernel(direct_kernel));
 

@@ -1,13 +1,13 @@
-#include "monge/steady_ant.h"
+#include "oracles/steady_ant.h"
 
 #include <gtest/gtest.h>
 
 #include <span>
 #include <string>
 
-#include "monge/delta.h"
-#include "monge/distribution.h"
 #include "monge/steady_ant_simd.h"
+#include "oracles/delta.h"
+#include "oracles/distribution.h"
 #include "testing.h"
 #include "util/rng.h"
 
@@ -153,7 +153,8 @@ PackedCombineResult run_scalar_oracle(std::span<const std::int32_t> row_pk) {
   PackedCombineResult res{std::vector<std::int32_t>(n),
                           std::vector<std::int32_t>(n + 1),
                           std::vector<std::int32_t>(n)};
-  steady_ant_packed_scalar(row_pk, res.col_pk, res.t, res.out);
+  steady_ant_packed_into(SteadyAntIsa::kScalar, row_pk, res.col_pk, res.t,
+                         res.out);
   return res;
 }
 

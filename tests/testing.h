@@ -5,12 +5,43 @@
 #include <cstdint>
 #include <vector>
 
-#include "monge/delta.h"
-#include "monge/distribution.h"
+#include "monge/engine.h"
 #include "monge/permutation.h"
+#include "oracles/delta.h"
+#include "oracles/distribution.h"
 #include "util/check.h"
 
 namespace monge::testing {
+
+/// PA ⊡ PB of full permutations into a fresh vector (multiply_into).
+inline std::vector<std::int32_t> raw_product(SeaweedEngine& engine,
+                                             PermView a, PermView b) {
+  std::vector<std::int32_t> out(a.size());
+  engine.multiply_into(a, b, out);
+  return out;
+}
+
+/// Subunit PA ⊡ PB into a fresh vector (subunit_multiply_into).
+inline std::vector<std::int32_t> subunit_raw_product(SeaweedEngine& engine,
+                                                     PermView a, PermView b,
+                                                     std::int64_t b_cols) {
+  std::vector<std::int32_t> out(a.size());
+  engine.subunit_multiply_into(a, b, b_cols, out);
+  return out;
+}
+
+/// One subunit product per pair, in one subunit_multiply_batch_into call.
+inline std::vector<std::vector<std::int32_t>> subunit_raw_batch(
+    SeaweedEngine& engine, std::span<const SubunitPairView> pairs) {
+  std::vector<std::vector<std::int32_t>> out(pairs.size());
+  std::vector<std::span<std::int32_t>> outs;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    out[i].resize(pairs[i].a.size());
+    outs.push_back(out[i]);
+  }
+  engine.subunit_multiply_batch_into(pairs, outs);
+  return out;
+}
 
 /// Performs the §3.1 decomposition of a product PA ⊡ PB into H colored
 /// subproblem results: PA is split into H column blocks, PB into H row

@@ -112,13 +112,10 @@ L4_FILE_SUFFIX = "monge/engine.cpp"
 L4_CLASS = "SeaweedEngine"
 L4_ENTRY_POINTS = [
     "multiply",
-    "multiply_raw",
     "multiply_into",
     "multiply_raw_batch",
     "multiply_batch_into",
-    "subunit_multiply_raw",
     "subunit_multiply_into",
-    "subunit_multiply_raw_batch",
     "subunit_multiply_batch_into",
 ]
 L4_CHECKERS = ["check_size_limit", "check_subunit_shapes", "kSeaweedEngineMaxN"]
@@ -445,7 +442,7 @@ def check_l4(
     checker_re = re.compile("|".join(r"\b" + re.escape(c) + r"\b" for c in checkers))
 
     # Pass 1: direct checks. Pass 2 (to fixpoint): delegation to a checked
-    # entry point (wrappers like multiply_raw -> multiply_into).
+    # entry point (wrappers like multiply -> multiply_into).
     checked: set[str] = set()
     for name in entries:
         if name in bodies and checker_re.search(bodies[name]):
