@@ -69,7 +69,15 @@ void MachineCtx::send(std::int64_t to, std::int64_t tag,
 
 Cluster::Cluster(MpcConfig cfg) : cfg_(std::move(cfg)), pool_(cfg_.threads) {
   validate_config(cfg_);
-  mailboxes_.resize(static_cast<std::size_t>(cfg_.num_machines));
+  const auto m = static_cast<std::size_t>(cfg_.num_machines);
+  mailboxes_.resize(m);
+  ctxs_.reserve(m);
+  for (std::int64_t i = 0; i < cfg_.num_machines; ++i) {
+    ctxs_.push_back(MachineCtx(this, i));
+  }
+  errors_.resize(m);
+  incoming_.resize(m);
+  resident_.resize(m);
 }
 
 void Cluster::check_space(std::int64_t machine, std::int64_t words,
@@ -89,17 +97,41 @@ std::int64_t Cluster::register_resident(ResidentHooks hooks) {
 
 std::int64_t Cluster::register_resident(
     std::function<std::int64_t(std::int64_t)> auditor) {
+  MONGE_CHECK_MSG(auditor != nullptr, "resident auditor is mandatory");
   ResidentHooks hooks;
-  hooks.words = std::move(auditor);
+  hooks.words = [auditor = std::move(auditor)](
+                    std::span<std::int64_t> per_machine) {
+    for (std::size_t i = 0; i < per_machine.size(); ++i) {
+      per_machine[i] += auditor(static_cast<std::int64_t>(i));
+    }
+  };
   return register_resident(std::move(hooks));
 }
 
 void Cluster::unregister_resident(std::int64_t id) { auditors_.erase(id); }
 
 std::int64_t Cluster::resident_words(std::int64_t machine) const {
-  std::int64_t total = 0;
-  for (const auto& [id, hooks] : auditors_) total += hooks.words(machine);
-  return total;
+  MONGE_CHECK_MSG(machine >= 0 && machine < machines(),
+                  "resident_words of invalid machine " << machine);
+  std::vector<std::int64_t> per_machine(static_cast<std::size_t>(machines()),
+                                        0);
+  for (const auto& [id, hooks] : auditors_) hooks.words(per_machine);
+  return per_machine[static_cast<std::size_t>(machine)];
+}
+
+// monge-lint: hot
+void Cluster::audit_space() {
+  std::fill(resident_.begin(), resident_.end(), 0);
+  for (const auto& [id, hooks] : auditors_) hooks.words(resident_);
+  for (std::size_t i = 0; i < resident_.size(); ++i) {
+    const auto machine = static_cast<std::int64_t>(i);
+    check_space(machine, incoming_[i], "incoming traffic of");
+    check_space(machine, resident_[i], "resident data of");
+    stats_.max_resident_words =
+        std::max(stats_.max_resident_words, resident_[i]);
+    stats_.max_machine_words =
+        std::max(stats_.max_machine_words, resident_[i] + incoming_[i]);
+  }
 }
 
 void Cluster::take_checkpoint(std::int64_t round) {
@@ -107,7 +139,11 @@ void Cluster::take_checkpoint(std::int64_t round) {
   snapshot_.round = round;
   snapshot_.complete = true;
   snapshot_.mailboxes = mailboxes_;
-  snapshot_.residents.clear();
+  // Blobs of structures still registered are overwritten in place below,
+  // reusing their buffers; only the ones destroyed since are dropped.
+  std::erase_if(snapshot_.residents, [this](const auto& entry) {
+    return !auditors_.contains(entry.first);
+  });
   std::int64_t words = 0;
   for (const auto& box : snapshot_.mailboxes) {
     for (const Message& msg : box) {
@@ -122,9 +158,9 @@ void Cluster::take_checkpoint(std::int64_t round) {
     auto& blobs = snapshot_.residents[id];
     blobs.resize(static_cast<std::size_t>(m));
     for (std::int64_t i = 0; i < m; ++i) {
-      blobs[static_cast<std::size_t>(i)] = hooks.checkpoint(i);
-      words +=
-          static_cast<std::int64_t>(blobs[static_cast<std::size_t>(i)].size());
+      std::vector<Word>& blob = blobs[static_cast<std::size_t>(i)];
+      hooks.checkpoint(i, blob);
+      words += static_cast<std::int64_t>(blob.size());
     }
   }
   ++stats_.recovery.checkpoints;
@@ -209,15 +245,15 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
 
   // Run the local phase of every machine concurrently. Each machine gets a
   // private context; message routing happens after the barrier, so delivery
-  // order is deterministic no matter how the pool schedules machines.
-  std::vector<MachineCtx> ctxs;
-  ctxs.reserve(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) ctxs.push_back(MachineCtx(this, i));
-
+  // order is deterministic no matter how the pool schedules machines. The
+  // contexts are round scratch: a previous round moved its messages out
+  // (or threw), so only the emptied outboxes are left to clear.
+  //
   // Machine errors are collected per machine, never rethrown across the
   // pool, so the surfaced exception is deterministic — lowest machine id
   // wins regardless of which worker thread hit its error first.
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(m));
+  for (MachineCtx& ctx : ctxs_) ctx.outbox_.clear();
+  std::fill(errors_.begin(), errors_.end(), nullptr);
 
   for (std::int64_t attempt = 0;; ++attempt) {
     if (attempt > 0) {
@@ -225,7 +261,7 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
       // snapshot; the aborted attempt's traffic and the restore traffic
       // are written off to the recovery accounts.
       std::int64_t wasted = 0;
-      for (auto& ctx : ctxs) {
+      for (MachineCtx& ctx : ctxs_) {
         for (const Message& msg : ctx.outbox_) {
           wasted += static_cast<std::int64_t>(msg.payload.size()) + 2;
         }
@@ -233,13 +269,13 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
       }
       stats_.recovery.recovery_comm_words += wasted + restore_checkpoint();
       ++stats_.recovery.recovery_rounds;
-      std::fill(errors.begin(), errors.end(), nullptr);
+      std::fill(errors_.begin(), errors_.end(), nullptr);
     }
     pool_.parallel_for(m, [&](std::int64_t i) {
       try {
-        fn(ctxs[static_cast<std::size_t>(i)]);
+        fn(ctxs_[static_cast<std::size_t>(i)]);
       } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
+        errors_[static_cast<std::size_t>(i)] = std::current_exception();
       }
     });
     if (!chaos) break;
@@ -267,19 +303,16 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
         static_cast<std::int64_t>(crashed.size());
   }
 
-  for (std::int64_t i = 0; i < m; ++i) {
-    if (errors[static_cast<std::size_t>(i)]) {
-      std::rethrow_exception(errors[static_cast<std::size_t>(i)]);
-    }
+  for (const std::exception_ptr& error : errors_) {
+    if (error) std::rethrow_exception(error);
   }
 
   // Space accounting: a machine's traffic this round is what it sends plus
   // what it receives; both are bounded by s in the model. Each message
   // carries a 2-word envelope (from, tag).
-  std::vector<std::int64_t> incoming_words(static_cast<std::size_t>(m), 0);
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t out_words = 0;
-    for (const Message& msg : ctxs[static_cast<std::size_t>(i)].outbox_) {
+    for (const Message& msg : ctxs_[static_cast<std::size_t>(i)].outbox_) {
       out_words += static_cast<std::int64_t>(msg.payload.size()) + 2;
     }
     check_space(i, out_words, "outgoing traffic of");
@@ -291,14 +324,15 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
   // masked by the simulated reliable transport — the delivered payloads
   // are always pristine; only the recovery accounts move.
   for (auto& box : mailboxes_) box.clear();
+  std::fill(incoming_.begin(), incoming_.end(), 0);
   bool retransmitted = false;
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t seq = 0;
-    for (Message& msg : ctxs[static_cast<std::size_t>(i)].outbox_) {
+    for (Message& msg : ctxs_[static_cast<std::size_t>(i)].outbox_) {
       const auto w = static_cast<std::int64_t>(msg.payload.size()) + 2;
       if (chaos) inject_message_faults(msg, round, seq, &retransmitted);
       ++seq;
-      incoming_words[static_cast<std::size_t>(msg.to)] += w;
+      incoming_[static_cast<std::size_t>(msg.to)] += w;
       mailboxes_[static_cast<std::size_t>(msg.to)].push_back(std::move(msg));
     }
   }
@@ -318,16 +352,7 @@ void Cluster::run_round(const std::function<void(MachineCtx&)>& fn) {
   }
 
   // Peak accounting after delivery: resident + inbox.
-  for (std::int64_t i = 0; i < m; ++i) {
-    check_space(i, incoming_words[static_cast<std::size_t>(i)],
-                "incoming traffic of");
-    const std::int64_t resident = resident_words(i);
-    check_space(i, resident, "resident data of");
-    stats_.max_resident_words = std::max(stats_.max_resident_words, resident);
-    stats_.max_machine_words =
-        std::max(stats_.max_machine_words,
-                 resident + incoming_words[static_cast<std::size_t>(i)]);
-  }
+  audit_space();
   ++stats_.rounds;
 }
 

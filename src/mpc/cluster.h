@@ -11,6 +11,11 @@
 //   * runs machine-local work on a thread pool, with deterministic message
 //     delivery (sorted by sender) and deterministic error surfacing (lowest
 //     machine id wins) regardless of scheduling,
+//   * keeps its own per-round bookkeeping at O(m + live structures) with
+//     no heap allocation: the machine contexts, error slots and word
+//     counts are scratch sized once at construction, and the space audit
+//     makes one bulk ResidentHooks::words call per registered structure
+//     (Cluster::audit_space, lint-checked allocation-free),
 //   * optionally injects a seeded fault schedule (MpcConfig::faults) and
 //     recovers from it: at the start of every checkpoint_interval-th round
 //     it snapshots the mailboxes and all registered resident state, and a
@@ -33,9 +38,13 @@
 //
 // Messages are flat arrays of 64-bit words; typed helpers pack/unpack
 // trivially-copyable structs through the shared codec in util/codec.h.
+// Absorb loops decode with Message::decode_into, appending straight into
+// their destination, and checkpoints pack into blobs the snapshot reuses
+// from one checkpoint to the next.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <span>
@@ -68,6 +77,13 @@ struct Message {
   template <typename T>
   std::vector<T> decode() const {
     return util::unpack_words<T>(payload);
+  }
+
+  /// decode() straight into a destination: appends the items to `out`, so
+  /// absorb loops need no temporary. On CodecError `out` is unchanged.
+  template <typename T>
+  void decode_into(std::vector<T>& out) const {
+    util::unpack_words_into<T>(payload, out);
   }
 };
 
@@ -123,10 +139,13 @@ struct ClusterStats {
 /// registered without the recovery pair still audit, but a crash while one
 /// is live is unrecoverable (FaultError).
 struct ResidentHooks {
-  /// Words the structure currently keeps on a machine.
-  std::function<std::int64_t(std::int64_t machine)> words;
-  /// Serializes the machine's state as a flat word blob.
-  std::function<std::vector<Word>(std::int64_t machine)> checkpoint;
+  /// Adds the words the structure currently keeps on every machine:
+  /// per_machine[i] += words on machine i (one call audits all machines).
+  std::function<void(std::span<std::int64_t> per_machine)> words;
+  /// Overwrites `blob` with the machine's state as flat words, reusing the
+  /// blob's capacity from the previous checkpoint.
+  std::function<void(std::int64_t machine, std::vector<Word>& blob)>
+      checkpoint;
   /// Inverse of checkpoint: reinstates a previously serialized blob.
   std::function<void(std::int64_t machine, std::span<const Word> blob)>
       restore;
@@ -186,12 +205,15 @@ class Cluster {
   /// Registers a resident structure's hook set (used by DistVector);
   /// returns an id for unregistering.
   std::int64_t register_resident(ResidentHooks hooks);
-  /// Audit-only registration (no crash recovery for this structure).
+  /// Audit-only registration (no crash recovery for this structure) from a
+  /// per-machine word count; adapted onto the bulk ResidentHooks::words.
   std::int64_t register_resident(
       std::function<std::int64_t(std::int64_t)> auditor);
   void unregister_resident(std::int64_t id);
 
-  /// Current resident words on a machine (sum over live auditors).
+  /// Current resident words on a machine (sum over live auditors). Runs
+  /// every bulk hook, so it costs O(m) per structure; the round audit
+  /// itself collects all machines at once.
   std::int64_t resident_words(std::int64_t machine) const;
 
  private:
@@ -206,6 +228,10 @@ class Cluster {
 
   void check_space(std::int64_t machine, std::int64_t words,
                    const char* kind) const;
+  /// End-of-round space audit over incoming_ (filled by routing): one bulk
+  /// words() call per live structure, then the per-machine checks and
+  /// peaks, in ascending machine order.
+  void audit_space();
   void take_checkpoint(std::int64_t round);
   /// Rolls mailboxes and resident state back; returns the words restored.
   std::int64_t restore_checkpoint();
@@ -222,6 +248,12 @@ class Cluster {
   ThreadPool pool_;
   ClusterStats stats_;
   std::vector<std::vector<Message>> mailboxes_;  // inbox per machine
+  // Round scratch, sized once at construction and reused every round:
+  // machine i's pool task touches only index i of ctxs_ and errors_.
+  std::vector<MachineCtx> ctxs_;
+  std::vector<std::exception_ptr> errors_;  // lowest machine id wins
+  std::vector<std::int64_t> incoming_;      // words delivered per machine
+  std::vector<std::int64_t> resident_;      // audited words per machine
   std::map<std::int64_t, ResidentHooks> auditors_;
   std::int64_t next_auditor_id_ = 0;
   Snapshot snapshot_;

@@ -135,10 +135,7 @@ PerMachine<std::vector<T>> route_items(
   c.run_round([&](MachineCtx& mc) {
     auto& mine = received[static_cast<std::size_t>(mc.id())];
     mine.clear();  // restartable: crash recovery re-executes the round
-    for (const Message& msg : mc.inbox()) {
-      auto items = msg.decode<T>();
-      mine.insert(mine.end(), items.begin(), items.end());
-    }
+    for (const Message& msg : mc.inbox()) msg.decode_into(mine);
   });
   return received;
 }
@@ -288,9 +285,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
         const std::int64_t i = mc.id();
         auto sk = sketch[static_cast<std::size_t>(i)];
         for (const Message& msg : mc.inbox()) {
-          if (msg.tag != tags::kSketch) continue;
-          auto items = msg.decode<detail::SketchItem>();
-          sk.insert(sk.end(), items.begin(), items.end());
+          if (msg.tag == tags::kSketch) msg.decode_into(sk);
         }
         std::sort(sk.begin(), sk.end(), [](const auto& a, const auto& b) {
           return a.key < b.key;
@@ -311,9 +306,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
       const std::int64_t i = mc.id();
       auto sk = sketch[static_cast<std::size_t>(i)];
       for (const Message& msg : mc.inbox()) {
-        if (msg.tag != tags::kSketch) continue;
-        auto items = msg.decode<detail::SketchItem>();
-        sk.insert(sk.end(), items.begin(), items.end());
+        if (msg.tag == tags::kSketch) msg.decode_into(sk);
       }
       std::sort(sk.begin(), sk.end(),
                 [](const auto& a, const auto& b) { return a.key < b.key; });
@@ -341,10 +334,10 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
       c.run_round([&](MachineCtx& mc) {
         const std::int64_t i = mc.id();
         for (const Message& msg : mc.inbox()) {
-          if (msg.tag == tags::kSplitters) {
-            splitters[static_cast<std::size_t>(i)] =
-                msg.decode<std::int64_t>();
-          }
+          if (msg.tag != tags::kSplitters) continue;
+          auto& spl = splitters[static_cast<std::size_t>(i)];
+          spl.clear();
+          msg.decode_into(spl);
         }
         const std::int64_t rank = i - group_base(i);
         if (tree_depth_of_rank(rank, f) != hop) return;
@@ -396,9 +389,7 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
     c.run_round([&](MachineCtx& mc) {
       auto& v = dv.local(mc.id());
       for (const Message& msg : mc.inbox()) {
-        if (msg.tag != tags::kFragment) continue;
-        auto items = msg.decode<T>();
-        v.insert(v.end(), items.begin(), items.end());
+        if (msg.tag == tags::kFragment) msg.decode_into(v);
       }
       std::sort(v.begin(), v.end(), by_key);
     });
@@ -445,15 +436,15 @@ void sample_sort(Cluster& c, DistVector<T>& dv, KeyFn key) {
   c.run_round([&](MachineCtx& mc) {
     const std::int64_t i = mc.id();
     auto& v = dv.local(i);
-    v.assign(static_cast<std::size_t>(layout.size(i)), T{});
+    // Chunks arrive by ascending sender, and senders hold ascending global
+    // ranks, so each chunk starts where the previous one ended: append.
+    v.clear();
     for (const Message& msg : mc.inbox()) {
       if ((msg.tag & 0xff) != tags::kChunk) continue;
-      const std::int64_t offset = msg.tag >> 8;
-      auto items = msg.decode<T>();
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        v[static_cast<std::size_t>(offset) + k] = items[k];
-      }
+      MONGE_CHECK(msg.tag >> 8 == static_cast<std::int64_t>(v.size()));
+      msg.decode_into(v);
     }
+    MONGE_CHECK(static_cast<std::int64_t>(v.size()) == layout.size(i));
   });
 }
 
@@ -484,7 +475,7 @@ DistVector<std::int32_t> inverse_permutation(Cluster& c,
 template <typename T>
 std::vector<T> gather_to_machine(Cluster& c, const DistVector<T>& dv,
                                  std::int64_t target) {
-  std::vector<T> out(static_cast<std::size_t>(dv.size()));
+  std::vector<T> out;
   c.run_round([&](MachineCtx& mc) {
     const std::int64_t i = mc.id();
     const auto& v = dv.local(i);
@@ -494,15 +485,16 @@ std::vector<T> gather_to_machine(Cluster& c, const DistVector<T>& dv,
   });
   c.run_round([&](MachineCtx& mc) {
     if (mc.id() != target) return;
+    // Chunks arrive by ascending sender = ascending block offset: append.
+    out.clear();  // restartable: crash recovery re-executes the round
+    out.reserve(static_cast<std::size_t>(dv.size()));
     for (const Message& msg : mc.inbox()) {
       if ((msg.tag & 0xff) != tags::kChunk) continue;
-      const std::int64_t offset = msg.tag >> 8;
-      auto items = msg.decode<T>();
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        out[static_cast<std::size_t>(offset) + k] = items[k];
-      }
+      MONGE_CHECK(msg.tag >> 8 == static_cast<std::int64_t>(out.size()));
+      msg.decode_into(out);
     }
   });
+  MONGE_CHECK(static_cast<std::int64_t>(out.size()) == dv.size());
   return out;
 }
 

@@ -6,11 +6,13 @@
 // shards unbalanced (e.g. mid-sort); `is_balanced()` tells whether the
 // canonical layout currently holds.
 //
-// Shard contents are registered with the cluster's resident-space auditor,
-// so the per-round space checks see them — and with the cluster's
-// checkpoint/restore protocol (ResidentHooks), so crash recovery can roll
-// a shard back to the round-entry snapshot: checkpoint serializes a shard
-// through the util/codec.h word codec, restore reinstates it bit-exactly.
+// Shard contents are registered with the cluster's resident-space auditor
+// (one bulk call per round adds every shard's words), so the per-round
+// space checks see them — and with the cluster's checkpoint/restore
+// protocol (ResidentHooks), so crash recovery can roll a shard back to the
+// round-entry snapshot: checkpoint serializes a shard through the
+// util/codec.h word codec into the snapshot's reused blob, restore
+// reinstates it bit-exactly.
 #pragma once
 
 #include <cstdint>
@@ -157,18 +159,24 @@ class DistVector {
         static_cast<std::int64_t>((sizeof(T) + 7) / 8);
     auto shards = shards_;  // keep alive inside the hooks
     ResidentHooks hooks;
-    hooks.words = [shards](std::int64_t machine) {
-      return static_cast<std::int64_t>(
-                 (*shards)[static_cast<std::size_t>(machine)].size()) *
-             words_per;
+    hooks.words = [shards](std::span<std::int64_t> per_machine) {
+      const auto& shard_list = *shards;
+      for (std::size_t i = 0; i < per_machine.size(); ++i) {
+        per_machine[i] +=
+            static_cast<std::int64_t>(shard_list[i].size()) * words_per;
+      }
     };
-    hooks.checkpoint = [shards](std::int64_t machine) {
-      return util::pack_words<T>((*shards)[static_cast<std::size_t>(machine)]);
+    hooks.checkpoint = [shards](std::int64_t machine,
+                                std::vector<Word>& blob) {
+      blob.clear();
+      util::pack_words_into<T>((*shards)[static_cast<std::size_t>(machine)],
+                               blob);
     };
     hooks.restore = [shards](std::int64_t machine,
                              std::span<const Word> blob) {
-      (*shards)[static_cast<std::size_t>(machine)] =
-          util::unpack_words<T>(blob);
+      auto& shard = (*shards)[static_cast<std::size_t>(machine)];
+      shard.clear();
+      util::unpack_words_into<T>(blob, shard);
     };
     auditor_id_ = cluster_->register_resident(std::move(hooks));
   }

@@ -104,6 +104,75 @@ TEST(Codec, CorruptPayloadEveryTruncationLength) {
   }
 }
 
+TEST(Codec, IntoFormsAppendAfterExistingContents) {
+  // The in-place forms append: existing contents stay, and the appended
+  // items round-trip exactly. ThreeInts takes the padded per-item path,
+  // WordPair and int32 the contiguous / narrow ones.
+  Rng rng(7);
+  for (int it = 0; it < 50; ++it) {
+    const auto n = static_cast<std::size_t>(rng.next_below(16));
+    std::vector<ThreeInts> items(n);
+    std::vector<WordPair> pairs(n);
+    std::vector<std::int32_t> narrow(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i] = {static_cast<std::int32_t>(rng.next_in(-99, 99)),
+                  static_cast<std::int32_t>(rng.next_in(-99, 99)),
+                  static_cast<std::int32_t>(rng.next_in(-99, 99))};
+      pairs[i] = {rng.next_in(-99, 99), rng.next_in(-99, 99)};
+      narrow[i] = static_cast<std::int32_t>(rng.next_in(-99, 99));
+    }
+
+    std::vector<ThreeInts> got_items{{1, 2, 3}};
+    unpack_words_into<ThreeInts>(pack_words<ThreeInts>(items), got_items);
+    ASSERT_EQ(got_items.size(), n + 1);
+    EXPECT_EQ(got_items[0], (ThreeInts{1, 2, 3}));
+    EXPECT_EQ(std::vector<ThreeInts>(got_items.begin() + 1, got_items.end()),
+              items);
+
+    std::vector<WordPair> got_pairs{{-1, -2}, {-3, -4}};
+    unpack_words_into<WordPair>(pack_words<WordPair>(pairs), got_pairs);
+    ASSERT_EQ(got_pairs.size(), n + 2);
+    EXPECT_EQ(got_pairs[1], (WordPair{-3, -4}));
+    EXPECT_EQ(std::vector<WordPair>(got_pairs.begin() + 2, got_pairs.end()),
+              pairs);
+
+    std::vector<std::int32_t> got_narrow{42};
+    unpack_words_into<std::int32_t>(pack_words<std::int32_t>(narrow),
+                                    got_narrow);
+    ASSERT_EQ(got_narrow.size(), n + 1);
+    EXPECT_EQ(got_narrow[0], 42);
+    EXPECT_EQ(
+        std::vector<std::int32_t>(got_narrow.begin() + 1, got_narrow.end()),
+        narrow);
+
+    // pack_words_into appends too: prefix words, then the same packing.
+    std::vector<std::int64_t> words{9, 8};
+    pack_words_into<ThreeInts>(items, words);
+    const auto packed = pack_words<ThreeInts>(items);
+    ASSERT_EQ(words.size(), packed.size() + 2);
+    EXPECT_EQ(words[0], 9);
+    EXPECT_EQ(words[1], 8);
+    EXPECT_EQ(std::vector<std::int64_t>(words.begin() + 2, words.end()),
+              packed);
+  }
+}
+
+TEST(Codec, TruncatedPayloadLeavesDestinationUnchanged) {
+  const std::vector<ThreeInts> before{{1, 2, 3}, {4, 5, 6}};
+  std::vector<ThreeInts> out = before;
+  const std::vector<std::int64_t> odd(3, 0);  // 3 words, 2-word stride
+  EXPECT_THROW(unpack_words_into<ThreeInts>(odd, out), CodecError);
+  EXPECT_EQ(out, before);
+
+  mpc::Message msg;
+  msg.payload = {1, 2, 3, 4, 5};
+  EXPECT_THROW(msg.decode_into(out), CodecError);
+  EXPECT_EQ(out, before);
+  msg.payload = {1, 2, 3, 4};
+  msg.decode_into(out);
+  EXPECT_EQ(out.size(), before.size() + 2);
+}
+
 TEST(Codec, MessageDecodeRejectsCorruptPayload) {
   // The typed-message path surfaces the same CodecError: a Message whose
   // payload lost a word (transport corruption) fails decode<T>().

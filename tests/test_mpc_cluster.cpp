@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -395,6 +396,94 @@ TEST(DistVectorTest, MoveKeepsAuditingConsistent) {
   DistVector<std::int64_t> d(c, 10);
   d = std::move(b);
   EXPECT_EQ(c.resident_words(0), before);  // old shard of d released
+}
+
+// A 24-byte item: three words per element in the resident audit.
+struct WideItem {
+  std::int64_t x = 0;
+  std::int64_t y = 0;
+  std::int64_t z = 0;
+};
+
+// Three DistVectors of 30 items each on 3 machines, 10 items per shard:
+// 10 int32 words + 10 int64 words + 30 WideItem words = 50 per machine.
+// The round empties machine 0's shards, grows machine 1 by 10 int32,
+// 5 int64 and 4 WideItem (+27 -> 77) and machine 2 by 4 WideItem
+// (+12 -> 62).
+void unbalance_round(Cluster& c, DistVector<std::int32_t>& narrow,
+                     DistVector<std::int64_t>& word, DistVector<WideItem>& wide) {
+  c.run_round([&](MachineCtx& mc) {
+    const std::int64_t i = mc.id();
+    if (i == 0) {
+      narrow.local(i).clear();
+      word.local(i).clear();
+      wide.local(i).clear();
+    } else if (i == 1) {
+      narrow.local(i).resize(20, 7);
+      word.local(i).resize(15, 7);
+      wide.local(i).resize(14);
+    } else {
+      wide.local(i).resize(14);
+    }
+  });
+}
+
+TEST(Cluster, ResidentAuditAcrossItemWidths) {
+  Cluster c(small_config(3, /*space=*/1 << 20, /*strict=*/false));
+  DistVector<std::int32_t> narrow(c, 30);
+  DistVector<std::int64_t> word(c, 30);
+  auto wide = std::make_unique<DistVector<WideItem>>(c, 30);
+  for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(c.resident_words(i), 50);
+
+  unbalance_round(c, narrow, word, *wide);
+  EXPECT_FALSE(wide->is_balanced());
+  EXPECT_EQ(c.resident_words(0), 0);
+  EXPECT_EQ(c.resident_words(1), 77);
+  EXPECT_EQ(c.resident_words(2), 62);
+  EXPECT_EQ(c.stats().max_resident_words, 77);
+  EXPECT_EQ(c.stats().max_machine_words, 77);  // no traffic this round
+
+  // A moved-from vector stops counting; the moved-to one counts once.
+  DistVector<WideItem> moved = std::move(*wide);
+  EXPECT_EQ(c.resident_words(1), 77);
+  wide.reset();
+  EXPECT_EQ(c.resident_words(1), 77);
+
+  // An audit-only registration adds through the per-machine adapter.
+  const std::int64_t extra = c.register_resident(
+      [](std::int64_t machine) { return 100 * machine; });
+  EXPECT_EQ(c.resident_words(2), 262);
+  c.unregister_resident(extra);
+  EXPECT_EQ(c.resident_words(2), 62);
+
+  {
+    // A destroyed vector stops counting: 14 WideItem leave machine 1.
+    DistVector<WideItem> gone = std::move(moved);
+  }
+  EXPECT_EQ(c.resident_words(0), 0);
+  EXPECT_EQ(c.resident_words(1), 35);
+  EXPECT_EQ(c.resident_words(2), 20);
+  c.reset_stats();
+  c.run_round([](MachineCtx&) {});
+  EXPECT_EQ(c.stats().max_resident_words, 35);
+}
+
+TEST(Cluster, ResidentAuditStrictReportsLowestOverBudgetMachine) {
+  // Budget 61: machines 1 (77 words) and 2 (62 words) both overflow after
+  // the round; the lowest id wins and the error carries its word count.
+  Cluster c(small_config(3, /*space=*/61, /*strict=*/true));
+  DistVector<std::int32_t> narrow(c, 30);
+  DistVector<std::int64_t> word(c, 30);
+  DistVector<WideItem> wide(c, 30);
+  EXPECT_NO_THROW(c.run_round([](MachineCtx&) {}));
+  try {
+    unbalance_round(c, narrow, word, wide);
+    FAIL() << "expected SpaceLimitError";
+  } catch (const SpaceLimitError& e) {
+    EXPECT_EQ(e.machine(), 1);
+    EXPECT_EQ(e.words(), 77);
+    EXPECT_EQ(e.limit(), 61);
+  }
 }
 
 }  // namespace
