@@ -32,8 +32,7 @@ int main() {
       try {
         mpc::Cluster c(cfg);
         core::MpcMultiplyReport rep;
-        (void)core::mpc_unit_monge_multiply(
-            c, a, b, core::paper_profile(n, c), &rep);
+        (void)core::mpc_unit_monge_multiply(c, a, b, {}, &rep);
         peak = rep.max_machine_words;
       } catch (const mpc::SpaceLimitError&) {
         ours = "FAIL";

@@ -104,15 +104,6 @@ Solver::Solver(SolverOptions options)
   require(options_.mpc_delta > 0.0 && options_.mpc_delta < 1.0,
           "SolverOptions.mpc_delta must be in (0, 1), got " +
               std::to_string(options_.mpc_delta));
-  require(options_.mpc_slack > 0.0,
-          "SolverOptions.mpc_slack must be > 0, got " +
-              std::to_string(options_.mpc_slack));
-  require(options_.multiply.split_h >= 0 && options_.multiply.tree_fanout >= 0 &&
-              options_.multiply.box_g >= 0,
-          "SolverOptions.multiply knobs must be >= 0 (0 = paper schedule)");
-  require(options_.lis_leaf_classes >= 0,
-          "SolverOptions.lis_leaf_classes must be >= 0 (0 = number of "
-          "machines)");
   require(options_.lcs_engine_match_limit >= 1 &&
               options_.lcs_engine_match_limit <= kSeaweedEngineMaxN,
           "SolverOptions.lcs_engine_match_limit must be in [1, 2^30], got " +
@@ -123,9 +114,8 @@ mpc::Cluster& Solver::provisioned_cluster(std::int64_t n) {
   mpc::MpcConfig want = options_.cluster;
   if (want.num_machines <= 0) {
     want = mpc::MpcConfig::fully_scalable(std::max<std::int64_t>(n, 1),
-                                          options_.mpc_delta,
-                                          options_.mpc_slack,
-                                          options_.mpc_strict);
+                                          options_.mpc_delta);
+    want.strict = options_.cluster.strict;
     want.threads = options_.cluster.threads;
     // Chaos knobs carry over into auto-provisioned clusters.
     want.faults = options_.cluster.faults;
@@ -138,13 +128,6 @@ mpc::Cluster& Solver::provisioned_cluster(std::int64_t n) {
     cluster_cfg_ = want;
   }
   return *cluster_;
-}
-
-lis::MpcLisOptions Solver::mpc_lis_options() const {
-  lis::MpcLisOptions o;
-  o.multiply = options_.multiply;
-  o.leaf_classes = options_.lis_leaf_classes;
-  return o;
 }
 
 
@@ -161,11 +144,10 @@ MultiplyResult Solver::solve_on(SolverBackend backend,
     case SolverBackend::kMpcSim: {
       mpc::Cluster& cluster = provisioned_cluster(mpc_multiply_size(req));
       out.c = req.kind == MultiplyKind::kFull
-                  ? core::mpc_unit_monge_multiply(cluster, req.a, req.b,
-                                                  options_.multiply,
+                  ? core::mpc_unit_monge_multiply(cluster, req.a, req.b, {},
                                                   &out.report)
-                  : core::mpc_subunit_multiply(cluster, req.a, req.b,
-                                               options_.multiply, &out.report);
+                  : core::mpc_subunit_multiply(cluster, req.a, req.b, {},
+                                               &out.report);
       break;
     }
   }
@@ -243,7 +225,7 @@ std::vector<MultiplyResult> Solver::solve_batch(
         }
         core::MpcMultiplyReport rep;
         auto products = core::mpc_unit_monge_multiply_batch(
-            provisioned_cluster(max_n), pairs, options_.multiply, &rep);
+            provisioned_cluster(max_n), pairs, {}, &rep);
         for (std::size_t j = 0; j < full_idx.size(); ++j) {
           out[full_idx[j]].c = std::move(products[j]);
           out[full_idx[j]].report = rep;
@@ -257,7 +239,7 @@ std::vector<MultiplyResult> Solver::solve_batch(
         }
         core::MpcMultiplyReport rep;
         auto products = core::mpc_subunit_multiply_batch(
-            provisioned_cluster(max_n), pairs, options_.multiply, &rep);
+            provisioned_cluster(max_n), pairs, {}, &rep);
         for (std::size_t j = 0; j < sub_idx.size(); ++j) {
           out[sub_idx[j]].c = std::move(products[j]);
           out[sub_idx[j]].report = rep;
@@ -290,7 +272,7 @@ LisResult Solver::solve_on(SolverBackend backend, const LisRequest& req) {
     case SolverBackend::kMpcSim: {
       mpc::Cluster& cluster = provisioned_cluster(
           static_cast<std::int64_t>(req.seq.size()));
-      auto res = lis::mpc_lis(cluster, req.seq, mpc_lis_options());
+      auto res = lis::mpc_lis(cluster, req.seq);
       out.lis = res.lis;
       out.rounds = res.rounds;
       out.merge_levels = res.merge_levels;
@@ -366,8 +348,7 @@ LcsResult Solver::solve_on(SolverBackend backend, const LcsRequest& req) {
       }
       mpc::Cluster& cluster =
           provisioned_cluster(static_cast<std::int64_t>(seq.size()));
-      const auto res =
-          lcs::mpc_lcs_over_matches(cluster, seq, mpc_lis_options());
+      const auto res = lcs::mpc_lcs_over_matches(cluster, seq);
       out.lcs = res.lcs;
       out.matches = res.matches;
       out.rounds = res.rounds;
@@ -464,7 +445,7 @@ BuildIndexResult Solver::solve_on(SolverBackend backend,
       if (req.kind == Kind::kWindowLis) {
         mpc::Cluster& cluster = provisioned_cluster(
             static_cast<std::int64_t>(req.seq.size()));
-        auto res = lis::mpc_lis(cluster, req.seq, mpc_lis_options());
+        auto res = lis::mpc_lis(cluster, req.seq);
         out.rounds = res.rounds;
         index = std::make_shared<query::SemiLocalIndex>(
             query::SemiLocalIndex::from_kernel(res.kernel));
@@ -473,7 +454,7 @@ BuildIndexResult Solver::solve_on(SolverBackend backend,
         const auto seq = occ.match_sequence(req.seq);
         mpc::Cluster& cluster =
             provisioned_cluster(static_cast<std::int64_t>(seq.size()));
-        auto res = lis::mpc_lis(cluster, seq, mpc_lis_options());
+        auto res = lis::mpc_lis(cluster, seq);
         out.rounds = res.rounds;
         index = std::make_shared<query::SemiLocalIndex>(
             query::SemiLocalIndex::from_lcs_kernel(

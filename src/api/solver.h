@@ -56,11 +56,15 @@
 // across requests) and, for the MpcSim backend, one lazily constructed
 // mpc::Cluster. The cluster is provisioned on first use — either from the
 // explicit SolverOptions::cluster config, or auto-sized per request via
-// MpcConfig::fully_scalable(n, mpc_delta, mpc_slack, mpc_strict) — and
+// MpcConfig::fully_scalable(n, mpc_delta) with the strict, threads, faults
+// and checkpoint_interval fields copied from SolverOptions::cluster — and
 // reused while the computed config is unchanged (an auto-provisioned
 // request of a different size rebuilds it, exactly reproducing what a
 // direct caller constructing a fresh per-problem cluster would see; round
-// counts in results are per-request deltas either way).
+// counts in results are per-request deltas either way). The MpcSim routes
+// run the paper's default schedule (default core::MpcMultiplyOptions and
+// lis::MpcLisOptions); callers who need other schedule knobs call the
+// core/lis free functions directly.
 //
 // Request types: solve() and try_solve() are templates over the types
 // listed in RequestTypes (api/request.h); each resolves to that type's
@@ -181,26 +185,15 @@ struct SolverOptions {
 
   /// MpcSim backend: explicit cluster config, used when num_machines > 0.
   /// The default (num_machines == 0) auto-provisions
-  /// MpcConfig::fully_scalable(n, mpc_delta, mpc_slack, mpc_strict) from
+  /// MpcConfig::fully_scalable(n, mpc_delta) (default space slack) from
   /// each request's input size n (match count for LCS), reusing the
-  /// cluster while the computed config stays the same. The threads,
-  /// faults and checkpoint_interval fields carry over into
-  /// auto-provisioned clusters, so chaos plans apply either way.
+  /// cluster while the computed config stays the same. The strict,
+  /// threads, faults and checkpoint_interval fields carry over into
+  /// auto-provisioned clusters, so strict space checking and chaos plans
+  /// apply either way.
   mpc::MpcConfig cluster{.num_machines = 0};
   /// Auto-provisioning exponent δ: m = n^δ machines. Must be in (0, 1).
   double mpc_delta = 0.5;
-  /// Auto-provisioning space slack (the Õ(·) constant). Must be > 0.
-  double mpc_slack = 24.0;
-  /// Auto-provisioned clusters throw SpaceLimitError on budget overruns.
-  bool mpc_strict = true;
-
-  /// Per-call multiply knobs for the MpcSim backend; zero-valued fields
-  /// resolve to the paper schedule inside core (identical to
-  /// core::paper_profile). Validated: no negative fields.
-  core::MpcMultiplyOptions multiply{};
-  /// lis::MpcLisOptions::leaf_classes for the MpcSim LIS driver
-  /// (0 = number of machines). Must be >= 0.
-  std::int64_t lis_leaf_classes = 0;
 
   /// Largest Hunt–Szymanski match count an LCS solve hands to the seaweed
   /// machinery; groups/requests above it are answered by patience sorting
@@ -313,9 +306,6 @@ class Solver {
   /// Returns the cluster to use for an MpcSim request of input size n,
   /// (re)provisioning if none exists or the auto-computed config changed.
   mpc::Cluster& provisioned_cluster(std::int64_t n);
-
-  /// Resolved lis::MpcLisOptions from the solver options.
-  lis::MpcLisOptions mpc_lis_options() const;
 
   SolverOptions options_;
   SeaweedEngine engine_;

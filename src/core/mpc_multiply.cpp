@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "monge/engine.h"
 #include "monge/multiway.h"
 #include "mpc/collectives.h"
 #include "mpc/dist_vector.h"
 #include "util/check.h"
+#include "util/error.h"
 #include "util/math.h"
 #include "util/overflow.h"
 
@@ -375,14 +377,25 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
   }
   const auto n = static_cast<std::int64_t>(host_a.size());  // total points
 
-  // Resolve the schedule from the largest problem in the batch.
+  // Resolve the schedule from the largest problem in the batch. This is
+  // the one place the schedule is decided; a split arity or descent
+  // fan-out of 1 would never terminate, so it fails closed like a
+  // negative knob.
+  const auto bad_arity = [](std::int64_t v) { return v < 0 || v == 1; };
+  if (bad_arity(options.split_h) || bad_arity(options.tree_fanout) ||
+      options.box_g < 0) {
+    throw InvalidRequestError(
+        "MpcMultiplyOptions: split_h and tree_fanout must be 0 or >= 2 and "
+        "box_g >= 0 (0 = paper schedule), got split_h=" +
+        std::to_string(options.split_h) +
+        " tree_fanout=" + std::to_string(options.tree_fanout) +
+        " box_g=" + std::to_string(options.box_g));
+  }
   const std::int64_t n_sched = std::max<std::int64_t>(meta0.max_size, 2);
   const double delta =
       std::log(static_cast<double>(std::max<std::int64_t>(m, 2))) /
       std::log(static_cast<double>(n_sched));
-  const double eta =
-      options.split_eta >= 0 ? options.split_eta
-                             : std::max(0.0, (1.0 - delta)) / 10.0;
+  const double eta = std::max(0.0, (1.0 - delta)) / 10.0;
   const std::int64_t h_split =
       options.split_h > 0 ? options.split_h
                           : std::max<std::int64_t>(2, ipow_frac(n_sched, eta));
@@ -960,41 +973,6 @@ Perm mpc_unit_monge_multiply(Cluster& cluster, const Perm& a, const Perm& b,
   pairs.emplace_back(a, b);
   auto out = mpc_unit_monge_multiply_batch(cluster, pairs, options, report);
   return std::move(out[0]);
-}
-
-namespace {
-
-std::int64_t paper_h(std::int64_t n, const Cluster& cluster) {
-  const std::int64_t m = cluster.machines();
-  const double delta =
-      std::log(static_cast<double>(std::max<std::int64_t>(m, 2))) /
-      std::log(static_cast<double>(std::max<std::int64_t>(n, 2)));
-  return std::max<std::int64_t>(
-      2, ipow_frac(std::max<std::int64_t>(n, 2),
-                   std::max(0.0, 1.0 - delta) / 10.0));
-}
-
-}  // namespace
-
-MpcMultiplyOptions paper_profile(std::int64_t n, const Cluster& cluster) {
-  MpcMultiplyOptions o;
-  o.split_h = paper_h(n, cluster);
-  o.tree_fanout = o.split_h;
-  return o;
-}
-
-MpcMultiplyOptions warmup_profile(std::int64_t n, const Cluster& cluster) {
-  MpcMultiplyOptions o;
-  o.split_h = 2;
-  o.tree_fanout = paper_h(n, cluster);
-  return o;
-}
-
-MpcMultiplyOptions chs23_profile(std::int64_t, const Cluster&) {
-  MpcMultiplyOptions o;
-  o.split_h = 2;
-  o.tree_fanout = 2;
-  return o;
 }
 
 }  // namespace monge::core

@@ -16,10 +16,13 @@
 //      RANK(node, r, col) − RANK(node, q, col) — and finishes the crossed
 //      G×G subgrids locally (§3.3, shared solve_box).
 //
-// Knobs reproduce the paper's baselines:
-//   split_h = 2, tree_fanout large  -> the §1.4 "warmup": Θ(log n) rounds.
-//   split_h = 2, tree_fanout = 2    -> "CHS23-profile": Θ(log² n) rounds.
-//   paper schedule (H = n^{(1−δ)/10}) -> Θ((δ/(1−δ))²) rounds, flat in n.
+// The schedule is resolved in one place, at the top of
+// mpc_unit_monge_multiply_batch. Default-constructed options give the
+// Theorem 1.1 schedule, H = max(2, n^{(1−δ)/10}) with the descent fan-out
+// equal to H: Θ((δ/(1−δ))²) rounds, flat in n. Explicit knobs reproduce
+// the paper's baselines:
+//   split_h = 2, tree_fanout large -> the §1.4 "warmup": Θ(log n) rounds.
+//   split_h = 2, tree_fanout = 2   -> "CHS23-profile": Θ(log² n) rounds.
 //
 // The control plane (which line/box lives where, interval metadata) is
 // orchestrated by the simulation driver; all point data, tree indices,
@@ -35,12 +38,13 @@
 
 namespace monge::core {
 
+/// Schedule knobs; every 0 resolves to the paper's value. Negative values,
+/// and split_h or tree_fanout equal to 1 (a split that never shrinks, a
+/// tree that never grows), throw InvalidRequestError.
 struct MpcMultiplyOptions {
-  /// Split arity H. 0 = paper schedule max(2, round(n^eta)).
+  /// Split arity H. 0 = paper schedule max(2, round(n^{(1−δ)/10})), with
+  /// δ inferred from the cluster (δ = log m / log n).
   std::int64_t split_h = 0;
-  /// Exponent for the paper schedule; <0 means (1-δ)/10 with δ inferred
-  /// from the cluster (δ = log m / log n).
-  double split_eta = -1.0;
   /// Merge-tree fanout for the grid-line descent. 0 = same as split H.
   std::int64_t tree_fanout = 0;
   /// Grid spacing G (also the leaf threshold). 0 = ceil(n / m), the
@@ -77,16 +81,5 @@ std::vector<Perm> mpc_unit_monge_multiply_batch(
     mpc::Cluster& cluster, const std::vector<std::pair<Perm, Perm>>& pairs,
     const MpcMultiplyOptions& options = {},
     MpcMultiplyReport* report = nullptr);
-
-/// Option presets reproducing the paper's comparison rows (resolved for a
-/// given input size and cluster):
-///  - paper_profile: the Theorem 1.1 schedule (H = max(2, n^{(1−δ)/10})).
-///  - warmup_profile: §1.4 warmup — two-way splits with a flattened search
-///    tree; Θ(log n) rounds per multiply.
-///  - chs23_profile: two-way splits *and* a binary search tree — the
-///    unflattened [CHS23]-style profile, Θ(log² n) rounds per multiply.
-MpcMultiplyOptions paper_profile(std::int64_t n, const mpc::Cluster& cluster);
-MpcMultiplyOptions warmup_profile(std::int64_t n, const mpc::Cluster& cluster);
-MpcMultiplyOptions chs23_profile(std::int64_t n, const mpc::Cluster& cluster);
 
 }  // namespace monge::core

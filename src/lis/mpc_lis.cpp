@@ -1,6 +1,7 @@
 #include "lis/mpc_lis.h"
 
 #include <algorithm>
+#include <string>
 
 #include "core/mpc_subperm.h"
 #include "lis/kernel.h"
@@ -9,6 +10,7 @@
 #include "mpc/collectives.h"
 #include "mpc/dist_vector.h"
 #include "util/check.h"
+#include "util/error.h"
 #include "util/math.h"
 
 namespace monge::lis {
@@ -24,6 +26,11 @@ using mpc::PerMachine;
 
 MpcLisResult mpc_lis(Cluster& cluster, std::span<const std::int64_t> seq,
                      const MpcLisOptions& options) {
+  if (options.leaf_classes < 0) {
+    throw InvalidRequestError(
+        "MpcLisOptions.leaf_classes must be >= 0 (0 = number of machines), "
+        "got " + std::to_string(options.leaf_classes));
+  }
   const auto n = static_cast<std::int64_t>(seq.size());
   const std::int64_t m = cluster.machines();
   MpcLisResult result;

@@ -19,7 +19,8 @@ namespace monge::lis {
 
 struct MpcLisOptions {
   core::MpcMultiplyOptions multiply;
-  /// Target number of value classes at the leaves (0 = number of machines).
+  /// Target number of value classes at the leaves (0 = number of
+  /// machines). Negative values throw InvalidRequestError.
   std::int64_t leaf_classes = 0;
 };
 

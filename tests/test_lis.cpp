@@ -9,6 +9,7 @@
 #include "monge/engine.h"
 #include "oracles/oracles.h"
 #include "testing.h"
+#include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -354,6 +355,22 @@ TEST(MpcLis, AdversarialShapes) {
     const auto res = mpc_lis(cluster, seq);
     ASSERT_EQ(res.lis, lis_length(seq));
   }
+}
+
+TEST(MpcLis, InvalidOptionsFailClosed) {
+  mpc::Cluster cluster(cfg_of(4));
+  std::vector<std::int64_t> seq(64);
+  for (int i = 0; i < 64; ++i) seq[static_cast<std::size_t>(i)] = (i * 37) % 64;
+  EXPECT_THROW(mpc_lis(cluster, seq, {.leaf_classes = -1}),
+               InvalidRequestError);
+  EXPECT_THROW(mpc_lis(cluster, {}, {.leaf_classes = -1}),
+               InvalidRequestError);
+  // The multiply knobs reach the one schedule resolution, which rejects
+  // a split arity of 1 instead of looping forever.
+  EXPECT_THROW(mpc_lis(cluster, seq, {.multiply = {.split_h = 1}}),
+               InvalidRequestError);
+  EXPECT_THROW(mpc_lis(cluster, seq, {.multiply = {.tree_fanout = 1}}),
+               InvalidRequestError);
 }
 
 TEST(MpcLis, RoundsGrowLogarithmically) {

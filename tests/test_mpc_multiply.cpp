@@ -10,6 +10,7 @@
 #include "monge/engine.h"
 #include "monge/subperm.h"
 #include "oracles/distribution.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace monge::core {
@@ -94,8 +95,7 @@ TEST(MpcMultiply, DefaultScheduleOnFullyScalableCluster) {
     const Perm a = Perm::random(n, rng);
     const Perm b = Perm::random(n, rng);
     MpcMultiplyReport rep;
-    const Perm got = mpc_unit_monge_multiply(
-        cluster, a, b, paper_profile(n, cluster), &rep);
+    const Perm got = mpc_unit_monge_multiply(cluster, a, b, {}, &rep);
     ASSERT_EQ(got, default_seaweed_engine().multiply(a, b))
         << "delta=" << delta;
   }
@@ -204,31 +204,48 @@ TEST(MpcMultiply, ReportInvariantsPinnedAcrossLeafBatching) {
   }
 }
 
-// The three option-preset factories must keep resolving to the same
-// schedules (at reproduction sizes they all collapse to two-way splits —
-// the paper's H = n^{(1−δ)/10} only exceeds 2 at astronomical n) and their
-// multiplies must stay correct with the batched leaf solve; rounds/levels
+// Default-constructed options resolve the Theorem 1.1 schedule. At
+// reproduction sizes H = n^{(1−δ)/10} collapses to two-way splits, and the
+// multiply must stay correct with the batched leaf solve; rounds/levels
 // are pinned to the pre-batch golden.
-TEST(MpcMultiply, PresetProfilesUnchangedByLeafBatching) {
+TEST(MpcMultiply, DefaultScheduleUnchangedByLeafBatching) {
   const std::int64_t n = 512;
-  int which = 0;
-  for (const auto& make :
-       {paper_profile, warmup_profile, chs23_profile}) {
-    mpc::Cluster cluster(cfg_of(16, 1 << 22, /*strict=*/false));
-    const MpcMultiplyOptions opt = make(n, cluster);
-    Rng rng(2024);
-    const Perm a = Perm::random(n, rng);
-    const Perm b = Perm::random(n, rng);
-    MpcMultiplyReport rep;
-    const Perm got = mpc_unit_monge_multiply(cluster, a, b, opt, &rep);
-    ASSERT_EQ(got, default_seaweed_engine().multiply(a, b))
-        << "preset " << which;
-    EXPECT_EQ(rep.split_h, 2) << "preset " << which;
-    EXPECT_EQ(rep.tree_fanout, 2) << "preset " << which;
-    EXPECT_EQ(rep.rounds, 3033) << "preset " << which;
-    EXPECT_EQ(rep.levels, 4) << "preset " << which;
-    ++which;
+  mpc::Cluster cluster(cfg_of(16, 1 << 22, /*strict=*/false));
+  Rng rng(2024);
+  const Perm a = Perm::random(n, rng);
+  const Perm b = Perm::random(n, rng);
+  MpcMultiplyReport rep;
+  const Perm got = mpc_unit_monge_multiply(cluster, a, b, {}, &rep);
+  ASSERT_EQ(got, default_seaweed_engine().multiply(a, b));
+  EXPECT_EQ(rep.split_h, 2);
+  EXPECT_EQ(rep.tree_fanout, 2);
+  EXPECT_EQ(rep.rounds, 3033);
+  EXPECT_EQ(rep.levels, 4);
+}
+
+// A split arity of 1 never shrinks a subproblem and a descent fan-out of 1
+// never grows the tree, so both fail closed up front, like negative knobs.
+TEST(MpcMultiply, NonTerminatingOrNegativeKnobsThrow) {
+  mpc::Cluster cluster(cfg_of(4));
+  Rng rng(5);
+  const Perm a = Perm::random(32, rng);
+  const Perm b = Perm::random(32, rng);
+  for (const MpcMultiplyOptions& opt :
+       {MpcMultiplyOptions{.split_h = 1}, MpcMultiplyOptions{.tree_fanout = 1},
+        MpcMultiplyOptions{.split_h = -1}, MpcMultiplyOptions{.tree_fanout = -2},
+        MpcMultiplyOptions{.box_g = -1}}) {
+    const std::int64_t before = cluster.rounds();
+    EXPECT_THROW(mpc_unit_monge_multiply(cluster, a, b, opt),
+                 InvalidRequestError)
+        << opt.split_h << " " << opt.tree_fanout << " " << opt.box_g;
+    EXPECT_EQ(cluster.rounds(), before);  // rejected before any round
+    EXPECT_THROW(mpc_subunit_multiply(cluster, a, b, opt),
+                 InvalidRequestError);
   }
+  // The smallest legal arities still run.
+  EXPECT_EQ(mpc_unit_monge_multiply(
+                cluster, a, b, {.split_h = 2, .tree_fanout = 2, .box_g = 1}),
+            default_seaweed_engine().multiply(a, b));
 }
 
 TEST(MpcMultiply, IdentityAndReverse) {
@@ -313,8 +330,7 @@ TEST(MpcMultiply, StrictSpaceComplianceAtPaperSchedule) {
   const Perm a = Perm::random(n, rng);
   const Perm b = Perm::random(n, rng);
   EXPECT_NO_THROW({
-    const Perm got = mpc_unit_monge_multiply(cluster, a, b,
-                                             paper_profile(n, cluster));
+    const Perm got = mpc_unit_monge_multiply(cluster, a, b);
     EXPECT_EQ(got, default_seaweed_engine().multiply(a, b));
   });
 }

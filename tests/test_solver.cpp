@@ -67,9 +67,6 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
   SolverOptions bad_delta;
   bad_delta.mpc_delta = 1.0;
   EXPECT_THROW(Solver{bad_delta}, InvalidRequestError);
-  SolverOptions bad_slack;
-  bad_slack.mpc_slack = 0.0;
-  EXPECT_THROW(Solver{bad_slack}, InvalidRequestError);
   SolverOptions bad_machines;
   bad_machines.cluster.num_machines = -1;
   EXPECT_THROW(Solver{bad_machines}, InvalidRequestError);
@@ -77,12 +74,6 @@ TEST(SolverOptions, ValidationThrowsAtConstruction) {
   bad_space.cluster.num_machines = 2;
   bad_space.cluster.space_words = 0;
   EXPECT_THROW(Solver{bad_space}, InvalidRequestError);
-  SolverOptions bad_multiply;
-  bad_multiply.multiply.split_h = -1;
-  EXPECT_THROW(Solver{bad_multiply}, InvalidRequestError);
-  SolverOptions bad_classes;
-  bad_classes.lis_leaf_classes = -1;
-  EXPECT_THROW(Solver{bad_classes}, InvalidRequestError);
 }
 
 TEST(SolverOptions, EchoedExactlyAndBackendNames) {
@@ -379,6 +370,23 @@ TEST(SolverCluster, LazyProvisioningAndReuse) {
   (void)solver.solve(LisRequest{.seq = big});
   EXPECT_EQ(solver.cluster()->machines(),
             mpc::MpcConfig::fully_scalable(512, 0.5).num_machines);
+}
+
+TEST(SolverCluster, AutoProvisionedStrictFollowsClusterOption) {
+  // cluster.strict is the one strict setting: an auto-provisioned cluster
+  // copies it like threads, faults and checkpoint_interval.
+  Rng rng(23);
+  const auto seq = random_sequence(128, 1 << 16, rng);
+  for (const bool strict : {true, false}) {
+    Solver solver({.backend = SolverBackend::kMpcSim,
+                   .cluster = {.num_machines = 0, .strict = strict,
+                               .threads = 1}});
+    (void)solver.solve(LisRequest{.seq = seq});
+    ASSERT_NE(solver.cluster(), nullptr);
+    EXPECT_EQ(solver.cluster()->config().strict, strict);
+    EXPECT_EQ(solver.cluster()->config().space_words,
+              mpc::MpcConfig::fully_scalable(128, 0.5).space_words);
+  }
 }
 
 TEST(SolverTrySolve, OkPathMatchesSolveBitIdentically) {
